@@ -23,11 +23,9 @@
 //! block (fleet aggregates + an FNV-1a per-job digest); the block is only
 //! ever emitted by this grid, so other experiments' JSONL is unchanged.
 
-use std::collections::BTreeMap;
-
 use orion_core::cluster::{
-    dedicated_ref_inputs, ClusterError, DedicatedRef, FleetConfig, FleetReport, FleetSim,
-    FleetTrace, FleetTraceConfig,
+    collect_dedicated_refs, dedicated_ref_inputs, ClusterError, FleetConfig, FleetReport,
+    FleetSim, FleetTrace, FleetTraceConfig,
 };
 use orion_core::policy::PolicyKind;
 use orion_core::world::run_dedicated;
@@ -110,21 +108,10 @@ pub fn run_fleet_on(
     trace: FleetTrace,
     fcfg: FleetConfig,
 ) -> Result<FleetReport, ClusterError> {
-    let inputs = dedicated_ref_inputs(&trace, &fcfg);
-    let refs = runner.map(inputs, |_, (label, client, rc)| {
+    let refs = runner.map(dedicated_ref_inputs(&trace, &fcfg), |_, (label, client, rc)| {
         (label, run_dedicated(client, &rc))
     });
-    let mut dedicated: BTreeMap<String, DedicatedRef> = BTreeMap::new();
-    for (i, (label, res)) in refs.into_iter().enumerate() {
-        let mut r = res.map_err(|source| ClusterError::BaselineFailed { job: i, source })?;
-        dedicated.insert(
-            label,
-            DedicatedRef {
-                throughput: r.clients[0].throughput,
-                p99: r.clients[0].latency.p99(),
-            },
-        );
-    }
+    let dedicated = collect_dedicated_refs(&trace, refs)?;
     let mut sim = FleetSim::new(trace, fcfg, dedicated)?;
     while let Some(specs) = sim.next_epoch() {
         let results = runner.map(specs, |_, s| {

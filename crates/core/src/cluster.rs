@@ -2,17 +2,14 @@
 //!
 //! Orion is a per-GPU scheduler; the paper's discussion proposes a cluster
 //! manager that uses the offline compute/memory profiles to place jobs with
-//! complementary demands on the same GPU. This module closes the loop at two
-//! scales:
-//!
-//! - [`run_cluster`] / [`run_cluster_packed`]: a *static* cluster — a fixed
-//!   job set packed onto a fixed GPU budget, each device simulated once.
-//! - [`FleetSim`]: a *fleet* — hundreds of GPUs and thousands of jobs driven
-//!   by an open-loop arrival/departure trace ([`FleetTrace`]), with a
-//!   control-plane event loop: a job arrives → it is placed on the best
-//!   complementary GPU with capacity (or queues); a job departs → its slot
-//!   is freed; optionally, when a GPU's learned profiles say a pairing
-//!   soured, the worst-matched best-effort resident migrates elsewhere.
+//! complementary demands on the same GPU. [`FleetSim`] closes that loop: a
+//! fleet of GPUs driven by an arrival/departure trace ([`FleetTrace`]), with
+//! a control-plane event loop: a job arrives → it is placed on the best
+//! complementary GPU with capacity (or queues); a job departs → its slot is
+//! freed; optionally, when a GPU's learned profiles say a pairing soured, the
+//! worst-matched best-effort resident migrates elsewhere. A static cluster —
+//! a fixed job set on a fixed GPU budget — is the degenerate case: a
+//! [`FleetTrace::fixed`] trace run for one epoch.
 //!
 //! The fleet runs in fixed-length *epochs*. Arrivals, departures, placement,
 //! and migration are applied at epoch boundaries; within an epoch every
@@ -42,37 +39,21 @@ use orion_workloads::ModelKind;
 use crate::client::{ClientPriority, ClientSpec};
 use crate::online::OnlineConfig;
 use crate::placement::{
-    demand_complementarity, demand_from_profiles, demand_vector, pack_jobs, FleetPlacer, PackJob,
+    demand_complementarity, demand_from_profiles, demand_vector, FleetPlacer, PackJob,
 };
 use crate::policy::PolicyKind;
 use crate::supervisor::{FaultConfig, RobustnessReport, SupervisorConfig};
-use crate::world::{run_collocation, run_collocation_with_profiles, run_dedicated, RunConfig,
-    RunResult};
+use crate::world::{run_collocation_with_profiles, run_dedicated, RunConfig, RunResult};
 use orion_gpu::fault::{unit_roll, FaultRates};
 
 /// Cluster-level failures. The per-GPU engine's [`GpuError`] variants encode
-/// device conditions (allocations, streams, kernels); exhausting the *GPU
-/// budget* or failing a *reference run* are control-plane conditions and get
-/// their own variants instead of being smuggled through device error fields.
+/// device conditions (allocations, streams, kernels); a failed *reference
+/// run* or a job shed under degraded capacity are control-plane conditions
+/// and get their own variants instead of being smuggled through device error
+/// fields. Jobs that never fit are not errors: [`FleetReport`] counts them
+/// in `never_placed` and `oversized_rejected`.
 #[derive(Debug)]
 pub enum ClusterError {
-    /// The placement needs more devices than the cluster has.
-    InsufficientGpus {
-        /// GPUs the packing requires.
-        needed: usize,
-        /// GPUs available.
-        available: usize,
-    },
-    /// A job's footprint exceeds a single device's memory: it cannot be
-    /// placed anywhere, not even alone.
-    JobTooLarge {
-        /// Index of the offending job in submission order.
-        job: usize,
-        /// The job's memory footprint in bytes.
-        footprint: u64,
-        /// A single device's capacity in bytes.
-        gpu_memory: u64,
-    },
     /// A job's dedicated-baseline reference run failed; its normalized
     /// throughput would be meaningless (reported instead of a silent 0.0).
     BaselineFailed {
@@ -101,13 +82,6 @@ pub enum ClusterError {
 impl fmt::Display for ClusterError {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         match self {
-            ClusterError::InsufficientGpus { needed, available } => {
-                write!(f, "placement needs {needed} GPUs but only {available} available")
-            }
-            ClusterError::JobTooLarge { job, footprint, gpu_memory } => write!(
-                f,
-                "job {job} footprint {footprint} B exceeds device memory {gpu_memory} B"
-            ),
             ClusterError::BaselineFailed { job, source } => {
                 write!(f, "dedicated baseline for job {job} failed: {source}")
             }
@@ -134,158 +108,6 @@ impl From<GpuError> for ClusterError {
     fn from(e: GpuError) -> Self {
         ClusterError::Gpu(e)
     }
-}
-
-/// A job submitted to the cluster.
-#[derive(Debug, Clone)]
-pub struct ClusterJob {
-    /// The client (workload + arrivals + priority).
-    pub client: ClientSpec,
-}
-
-/// Result for one job after the cluster run.
-#[derive(Debug)]
-pub struct JobResult {
-    /// Index of the job in the submission order.
-    pub job: usize,
-    /// GPU the job was placed on.
-    pub gpu: usize,
-    /// Workload label.
-    pub label: String,
-    /// Requests/iterations per second achieved.
-    pub throughput: f64,
-    /// p99 latency in milliseconds.
-    pub p99_ms: f64,
-    /// Throughput relative to a dedicated GPU.
-    pub normalized: f64,
-}
-
-/// Cluster-level outcome.
-#[derive(Debug)]
-pub struct ClusterResult {
-    /// Per-job results.
-    pub jobs: Vec<JobResult>,
-    /// GPUs actually used.
-    pub gpus_used: usize,
-    /// Sum of normalized throughputs (max = number of jobs).
-    pub total_normalized: f64,
-}
-
-/// Places `jobs` onto at most `max_gpus` devices with the profile-driven
-/// matcher and runs every device's collocation under `policy`. Legacy
-/// pairwise mode: at most two jobs share a GPU (see [`run_cluster_packed`]
-/// for k-way packing).
-///
-/// Jobs are packed by complementarity in submission-index order
-/// (high-priority jobs first); leftover jobs run alone, in ascending index
-/// order, one per remaining GPU.
-///
-/// # Errors
-///
-/// - [`ClusterError::JobTooLarge`] when a job cannot fit on a device alone.
-/// - [`ClusterError::InsufficientGpus`] when the packing needs more devices
-///   than `max_gpus`.
-/// - [`ClusterError::BaselineFailed`] when a job's dedicated reference run
-///   fails (its normalization would otherwise silently read 0.0).
-/// - [`ClusterError::Gpu`] when a placed collocation fails to run.
-pub fn run_cluster(
-    jobs: &[ClusterJob],
-    max_gpus: usize,
-    policy: &PolicyKind,
-    cfg: &RunConfig,
-) -> Result<ClusterResult, ClusterError> {
-    run_cluster_packed(jobs, max_gpus, 2, policy, cfg)
-}
-
-/// [`run_cluster`] with k-way packing: a GPU hosts at most one high-priority
-/// job plus best-effort jobs up to `max_jobs_per_gpu` total, subject to the
-/// memory ledger.
-///
-/// # Errors
-///
-/// Same as [`run_cluster`].
-pub fn run_cluster_packed(
-    jobs: &[ClusterJob],
-    max_gpus: usize,
-    max_jobs_per_gpu: usize,
-    policy: &PolicyKind,
-    cfg: &RunConfig,
-) -> Result<ClusterResult, ClusterError> {
-    let pack: Vec<PackJob> = jobs
-        .iter()
-        .map(|j| PackJob {
-            mem: j.client.workload.memory_footprint,
-            demand: demand_vector(&j.client.workload),
-            hp: j.client.priority == ClientPriority::HighPriority,
-        })
-        .collect();
-    let packing = pack_jobs(&pack, cfg.spec.memory_capacity, max_jobs_per_gpu);
-    if let Some(&job) = packing.oversized.first() {
-        return Err(ClusterError::JobTooLarge {
-            job,
-            footprint: jobs[job].client.workload.memory_footprint,
-            gpu_memory: cfg.spec.memory_capacity,
-        });
-    }
-    let needed = packing.groups.len();
-    if needed > max_gpus {
-        return Err(ClusterError::InsufficientGpus {
-            needed,
-            available: max_gpus,
-        });
-    }
-
-    // Dedicated reference throughput per job (for normalization). A failed
-    // reference is an error, not a silent `normalized: 0.0`.
-    let dedicated = jobs
-        .iter()
-        .enumerate()
-        .map(|(i, j)| {
-            run_dedicated(j.client.clone(), cfg)
-                .map(|r| r.clients[0].throughput)
-                .map_err(|source| ClusterError::BaselineFailed { job: i, source })
-        })
-        .collect::<Result<Vec<f64>, ClusterError>>()?;
-
-    let mut results = Vec::new();
-    for (gpu, group) in packing.groups.iter().enumerate() {
-        let mut specs: Vec<ClientSpec> = group.iter().map(|&j| jobs[j].client.clone()).collect();
-        // A group of equal priorities promotes its first job to the GPU's
-        // high-priority client (submitters can encode real priorities by
-        // setting ClientPriority; we respect them — the packer guarantees
-        // at most one HP job per group).
-        if specs.len() > 1 && !specs.iter().any(|s| s.priority == ClientPriority::HighPriority) {
-            specs[0].priority = ClientPriority::HighPriority;
-        }
-        let mut r = if specs.len() == 1 {
-            run_dedicated(specs.remove(0), cfg)?
-        } else {
-            run_collocation(policy.clone(), specs, cfg)?
-        };
-        for (slot, &job) in group.iter().enumerate() {
-            let c = &mut r.clients[slot];
-            results.push(JobResult {
-                job,
-                gpu,
-                label: c.label.clone(),
-                throughput: c.throughput,
-                p99_ms: c.latency.p99().as_millis_f64(),
-                normalized: if dedicated[job] > 0.0 {
-                    c.throughput / dedicated[job]
-                } else {
-                    0.0
-                },
-            });
-        }
-    }
-
-    results.sort_by_key(|r| r.job);
-    let total_normalized = results.iter().map(|r| r.normalized).sum();
-    Ok(ClusterResult {
-        jobs: results,
-        gpus_used: needed,
-        total_normalized,
-    })
 }
 
 // ---------------------------------------------------------------------------
@@ -501,6 +323,21 @@ impl FleetTrace {
         FleetTrace { jobs }
     }
 
+    /// A static job set: every client arrives at 0 and departs at
+    /// `horizon`. Run for one epoch of length `horizon`, this is a fixed
+    /// cluster — one placement, one collocation episode per occupied GPU.
+    pub fn fixed(clients: Vec<ClientSpec>, horizon: SimTime) -> FleetTrace {
+        let jobs = clients
+            .into_iter()
+            .map(|client| FleetJob {
+                client,
+                arrive: SimTime::ZERO,
+                depart: horizon,
+            })
+            .collect();
+        FleetTrace { jobs }
+    }
+
     /// Peak number of concurrently-live jobs in the raw trace: the size a
     /// dedicated (one GPU per job) fleet would need.
     pub fn peak_concurrent(&self) -> usize {
@@ -538,7 +375,7 @@ pub struct FleetConfig {
     /// overridden per (gpu, epoch); `spec` sets the device and the memory
     /// ledger the placer packs against.
     pub rc: RunConfig,
-    /// Packing cap: jobs per GPU (one high-priority plus best-effort).
+    /// Per-GPU cap on residents (one high-priority plus best-effort).
     pub max_jobs_per_gpu: usize,
     /// Learn profiles online (cold start + admission ladder) and feed
     /// re-placement from the learned tables; offline tables otherwise.
@@ -585,6 +422,12 @@ impl FleetConfig {
         self.epoch * self.epochs as u64
     }
 
+    /// True when `client` fits on one device alone. Jobs that do not are
+    /// rejected at admission and are never profiled or referenced.
+    fn fits_device(&self, client: &ClientSpec) -> bool {
+        client.workload.memory_footprint <= self.rc.spec.memory_capacity
+    }
+
     fn episode_rc(&self, gpu: usize, epoch: usize) -> RunConfig {
         let mut rc = self.rc.clone();
         rc.horizon = self.epoch;
@@ -615,13 +458,14 @@ pub struct DedicatedRef {
 /// The dedicated reference runs a fleet needs: one per distinct workload
 /// label, sorted by label, each with its own derived seed. Both the serial
 /// driver and the sharded bench driver map [`run_dedicated`] over exactly
-/// this list, so their reference values are identical.
+/// this list, so their reference values are identical. Jobs larger than a
+/// device are skipped: admission rejects them, so they need no reference.
 pub fn dedicated_ref_inputs(
     trace: &FleetTrace,
     cfg: &FleetConfig,
 ) -> Vec<(String, ClientSpec, RunConfig)> {
     let mut by_label: BTreeMap<String, ClientSpec> = BTreeMap::new();
-    for j in &trace.jobs {
+    for j in trace.jobs.iter().filter(|j| cfg.fits_device(&j.client)) {
         by_label
             .entry(j.client.workload.label())
             .or_insert_with(|| j.client.clone());
@@ -640,6 +484,39 @@ pub fn dedicated_ref_inputs(
         .collect()
 }
 
+/// Folds reference runs — one per [`dedicated_ref_inputs`] entry, in that
+/// order — into the per-label map [`FleetSim::new`] takes. The serial driver
+/// and the sharded bench driver both collect through here.
+///
+/// # Errors
+///
+/// [`ClusterError::BaselineFailed`] for the first failed run, naming the
+/// trace index of the first job that carries its label.
+pub fn collect_dedicated_refs(
+    trace: &FleetTrace,
+    runs: impl IntoIterator<Item = (String, Result<RunResult, GpuError>)>,
+) -> Result<BTreeMap<String, DedicatedRef>, ClusterError> {
+    let mut refs = BTreeMap::new();
+    for (label, res) in runs {
+        let mut r = res.map_err(|source| ClusterError::BaselineFailed {
+            job: trace
+                .jobs
+                .iter()
+                .position(|j| j.client.workload.label() == label)
+                .unwrap_or_default(),
+            source,
+        })?;
+        refs.insert(
+            label,
+            DedicatedRef {
+                throughput: r.clients[0].throughput,
+                p99: r.clients[0].latency.p99(),
+            },
+        );
+    }
+    Ok(refs)
+}
+
 /// Runs the dedicated references serially (the bench driver shards the same
 /// inputs across the runner instead).
 ///
@@ -650,19 +527,10 @@ pub fn dedicated_refs_serial(
     trace: &FleetTrace,
     cfg: &FleetConfig,
 ) -> Result<BTreeMap<String, DedicatedRef>, ClusterError> {
-    let mut refs = BTreeMap::new();
-    for (i, (label, client, rc)) in dedicated_ref_inputs(trace, cfg).into_iter().enumerate() {
-        let mut r = run_dedicated(client, &rc)
-            .map_err(|source| ClusterError::BaselineFailed { job: i, source })?;
-        refs.insert(
-            label,
-            DedicatedRef {
-                throughput: r.clients[0].throughput,
-                p99: r.clients[0].latency.p99(),
-            },
-        );
-    }
-    Ok(refs)
+    let runs = dedicated_ref_inputs(trace, cfg)
+        .into_iter()
+        .map(|(label, client, rc)| (label, run_dedicated(client, &rc)));
+    collect_dedicated_refs(trace, runs)
 }
 
 /// One (gpu, epoch) collocation episode: everything needed to run it on any
@@ -692,7 +560,7 @@ impl EpisodeSpec {
     ///
     /// # Errors
     ///
-    /// Propagates the underlying [`run_collocation`] error.
+    /// Propagates the underlying [`run_collocation_with_profiles`] error.
     pub fn run(&self) -> Result<RunResult, GpuError> {
         run_collocation_with_profiles(
             self.policy.clone(),
@@ -867,7 +735,7 @@ impl FleetSim {
     ) -> Result<FleetSim, ClusterError> {
         let mut offline_tables = BTreeMap::new();
         if !cfg.online {
-            for j in &trace.jobs {
+            for j in trace.jobs.iter().filter(|j| cfg.fits_device(&j.client)) {
                 if let Entry::Vacant(e) = offline_tables.entry(j.client.workload.label()) {
                     let table = profile_workload(&j.client.workload, &cfg.rc.spec)
                         .map_err(ClusterError::Gpu)?
@@ -1190,9 +1058,7 @@ impl FleetSim {
                 break;
             }
             self.next_arrival += 1;
-            if self.trace.jobs[id].client.workload.memory_footprint
-                > self.cfg.rc.spec.memory_capacity
-            {
+            if !self.cfg.fits_device(&self.trace.jobs[id].client) {
                 // Cannot fit on any device, ever: reject at admission.
                 self.oversized_rejected += 1;
                 continue;
@@ -1240,7 +1106,7 @@ impl FleetSim {
             }
         }
 
-        // Placement: drain the queue in FIFO order; jobs that do not fit
+        // Place: drain the queue in FIFO order; jobs that do not fit
         // anywhere right now stay queued (capacity may free up later).
         let mut still_pending = Vec::new();
         for id in std::mem::take(&mut self.pending) {
@@ -1636,135 +1502,6 @@ mod tests {
     use orion_workloads::registry::inference_workload;
     use orion_workloads::ModelKind;
 
-    fn quick() -> RunConfig {
-        let mut c = RunConfig::quick_test();
-        c.horizon = SimTime::from_secs(2);
-        c.warmup = SimTime::from_millis(400);
-        c
-    }
-
-    fn job(w: orion_workloads::Workload) -> ClusterJob {
-        ClusterJob {
-            client: ClientSpec::best_effort(w, ArrivalProcess::ClosedLoop),
-        }
-    }
-
-    #[test]
-    fn four_jobs_on_two_gpus() {
-        let jobs = vec![
-            job(inference_workload(ModelKind::Bert)),
-            job(llm_decode_step()),
-            job(inference_workload(ModelKind::ResNet50)),
-            job(inference_workload(ModelKind::MobileNetV2)),
-        ];
-        let r = run_cluster(&jobs, 2, &PolicyKind::orion_default(), &quick()).unwrap();
-        assert_eq!(r.gpus_used, 2);
-        assert_eq!(r.jobs.len(), 4);
-        for j in &r.jobs {
-            assert!(j.throughput > 0.0, "{} starved", j.label);
-            assert!(j.normalized <= 1.1, "{}: normalized {}", j.label, j.normalized);
-        }
-        // Two GPUs serving four jobs at a meaningful fraction of dedicated.
-        assert!(r.total_normalized > 2.0, "total {}", r.total_normalized);
-    }
-
-    #[test]
-    fn too_few_gpus_is_a_cluster_error() {
-        let jobs = vec![
-            job(inference_workload(ModelKind::Bert)),
-            job(llm_decode_step()),
-            job(inference_workload(ModelKind::ResNet50)),
-        ];
-        // Regression (bug 1): this used to surface as GpuError::OutOfMemory
-        // with job counts stuffed into the byte fields; it must be the
-        // dedicated control-plane variant with real GPU counts.
-        match run_cluster(&jobs, 1, &PolicyKind::orion_default(), &quick()) {
-            Err(ClusterError::InsufficientGpus { needed, available }) => {
-                assert_eq!(needed, 2);
-                assert_eq!(available, 1);
-            }
-            other => panic!("expected InsufficientGpus, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn oversized_job_is_rejected_not_placed() {
-        // Regression (bug 3): a job larger than device memory used to be
-        // "placed alone" on a GPU it cannot fit; now it is an explicit error.
-        let mut cfg = quick();
-        cfg.spec.memory_capacity = 8 * (1 << 30);
-        let jobs = vec![
-            job(orion_workloads::registry::training_workload(ModelKind::Transformer)), // 8.5 GiB
-            job(inference_workload(ModelKind::ResNet50)),
-        ];
-        match run_cluster(&jobs, 2, &PolicyKind::orion_default(), &cfg) {
-            Err(ClusterError::JobTooLarge { job, footprint, gpu_memory }) => {
-                assert_eq!(job, 0);
-                assert!(footprint > gpu_memory);
-            }
-            other => panic!("expected JobTooLarge, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn failed_baseline_is_reported_not_zeroed() {
-        // Regression (bug 2): a job whose dedicated reference run fails used
-        // to silently report normalized 0.0; it must now surface as
-        // BaselineFailed. An invalid kernel (zero grid) fails profiling and
-        // the dedicated run alike.
-        use orion_desim::time::SimTime;
-        use orion_gpu::kernel::KernelDesc;
-        use orion_workloads::model::Workload;
-        use orion_workloads::OpSpec;
-
-        let bad_kernel = KernelDesc {
-            kernel_id: 9000,
-            name: "bad".into(),
-            grid_blocks: 0, // invalid: fails validation
-            threads_per_block: 256,
-            regs_per_thread: 32,
-            shmem_per_block: 0,
-            solo_duration: SimTime::from_micros(50),
-            compute_util: 0.5,
-            mem_util: 0.5,
-        };
-        let bad = Workload {
-            model: ModelKind::ResNet50,
-            kind: orion_workloads::model::WorkloadKind::Inference { batch: 1 },
-            ops: vec![(
-                orion_workloads::model::Phase::Forward,
-                OpSpec::Kernel(std::sync::Arc::new(bad_kernel)),
-            )],
-            memory_footprint: 1 << 30,
-        };
-        let jobs = vec![job(bad)];
-        match run_cluster(&jobs, 1, &PolicyKind::orion_default(), &quick()) {
-            Err(ClusterError::BaselineFailed { job, .. }) => assert_eq!(job, 0),
-            other => panic!("expected BaselineFailed, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn single_job_runs_dedicated() {
-        let jobs = vec![job(inference_workload(ModelKind::ResNet50))];
-        let r = run_cluster(&jobs, 1, &PolicyKind::orion_default(), &quick()).unwrap();
-        assert_eq!(r.gpus_used, 1);
-        assert!((r.jobs[0].normalized - 1.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn packed_cluster_hosts_more_jobs_per_gpu() {
-        let jobs = vec![
-            job(inference_workload(ModelKind::Bert)),
-            job(llm_decode_step()),
-            job(inference_workload(ModelKind::ResNet50)),
-        ];
-        // Pairwise packing needs two GPUs; 3-way packing fits on one.
-        let r = run_cluster_packed(&jobs, 1, 3, &PolicyKind::orion_default(), &quick()).unwrap();
-        assert_eq!(r.gpus_used, 1);
-        assert_eq!(r.jobs.len(), 3);
-    }
-
     fn tiny_fleet_cfg() -> FleetConfig {
         let mut cfg = FleetConfig::new(4, 3);
         cfg.epoch = SimTime::from_secs(1);
@@ -1960,5 +1697,93 @@ mod tests {
         assert_eq!(r.jobs[1].resident_epochs, 2);
         assert_eq!(r.peak_gpus_used, 1);
         assert_eq!(r.never_placed, 0);
+    }
+
+    /// A one-epoch fleet over `clients` that all arrive at 0 and stay to the
+    /// horizon: the static-cluster case.
+    fn static_fleet(clients: Vec<ClientSpec>, gpus: usize) -> (FleetTrace, FleetConfig) {
+        let mut cfg = FleetConfig::new(gpus, 1);
+        cfg.max_jobs_per_gpu = 2;
+        let trace = FleetTrace::fixed(clients, cfg.horizon());
+        (trace, cfg)
+    }
+
+    fn be(w: orion_workloads::Workload) -> ClientSpec {
+        ClientSpec::best_effort(w, ArrivalProcess::ClosedLoop)
+    }
+
+    #[test]
+    fn static_fleet_with_too_few_gpus_leaves_jobs_unplaced() {
+        // Three jobs, one GPU, two jobs per GPU: the third never places. It
+        // is reported, not a panic or an error.
+        let (trace, cfg) = static_fleet(
+            vec![
+                be(inference_workload(ModelKind::Bert)),
+                be(llm_decode_step()),
+                be(inference_workload(ModelKind::ResNet50)),
+            ],
+            1,
+        );
+        let r = run_fleet_serial(trace, cfg).unwrap();
+        assert_eq!(r.never_placed, 1);
+        assert_eq!(r.peak_gpus_used, 1);
+        let unplaced = r.jobs.iter().find(|j| !j.ever_placed).unwrap();
+        assert_eq!(unplaced.job, 2);
+        assert_eq!(unplaced.resident_epochs, 0);
+        assert!(!unplaced.slo_met);
+        assert!(r.jobs[..2].iter().all(|j| j.completed > 0));
+    }
+
+    #[test]
+    fn static_fleet_rejects_oversized_job_without_placing_it() {
+        let (trace, mut cfg) = static_fleet(
+            vec![
+                be(orion_workloads::registry::training_workload(ModelKind::Transformer)), // 8.5 GiB
+                be(inference_workload(ModelKind::ResNet50)),
+            ],
+            2,
+        );
+        cfg.rc.spec.memory_capacity = 8 * (1 << 30);
+        let r = run_fleet_serial(trace, cfg).unwrap();
+        assert_eq!(r.oversized_rejected, 1);
+        assert_eq!(r.never_placed, 1);
+        assert!(!r.jobs[0].ever_placed);
+        assert!(r.jobs[1].ever_placed && r.jobs[1].completed > 0);
+    }
+
+    #[test]
+    fn failed_baseline_is_reported_not_zeroed() {
+        // A job whose dedicated reference run fails must surface as
+        // BaselineFailed, not a silent normalized 0.0. An invalid kernel
+        // (zero grid) fails the dedicated run. The bad job sits at trace
+        // index 1 but its label ("BERT-…") sorts before "ResNet50-…", so
+        // the error must name the trace index, not the label rank.
+        use orion_gpu::kernel::KernelDesc;
+        use orion_workloads::model::{Phase, Workload, WorkloadKind};
+        use orion_workloads::OpSpec;
+
+        let bad_kernel = KernelDesc {
+            kernel_id: 9000,
+            name: "bad".into(),
+            grid_blocks: 0, // invalid: fails validation
+            threads_per_block: 256,
+            regs_per_thread: 32,
+            shmem_per_block: 0,
+            solo_duration: SimTime::from_micros(50),
+            compute_util: 0.5,
+            mem_util: 0.5,
+        };
+        let bad = Workload {
+            model: ModelKind::Bert,
+            kind: WorkloadKind::Inference { batch: 1 },
+            ops: vec![(Phase::Forward, OpSpec::Kernel(std::sync::Arc::new(bad_kernel)))],
+            memory_footprint: 1 << 30,
+        };
+        let (trace, cfg) =
+            static_fleet(vec![be(inference_workload(ModelKind::ResNet50)), be(bad)], 1);
+        match run_fleet_serial(trace, cfg) {
+            Err(ClusterError::BaselineFailed { job, .. }) => assert_eq!(job, 1),
+            other => panic!("expected BaselineFailed, got {other:?}"),
+        }
     }
 }

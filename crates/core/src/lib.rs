@@ -21,13 +21,13 @@
 //!   drift detection, and adaptive `DUR_THRESHOLD` tuning, for runs that
 //!   start with no offline profiles (DESIGN.md §12);
 //! * [`tuning`] — the `SM_THRESHOLD` binary-search auto-tuner (§5.1.1);
-//! * [`placement`] — profile-driven cluster placement: the greedy pair
-//!   matcher and the k-way [`placement::FleetPlacer`] (§7 "cluster manager
-//!   co-design" extension);
-//! * [`cluster`] — multi-GPU simulation: static clusters ([`cluster::run_cluster`])
-//!   and the fleet control plane ([`cluster::FleetSim`]) driving hundreds of
-//!   GPUs through arrival/departure churn with optional online re-placement
-//!   and migration;
+//! * [`placement`] — profile-driven cluster placement: demand vectors,
+//!   complementarity scoring and the k-way [`placement::FleetPlacer`] (§7
+//!   "cluster manager co-design" extension);
+//! * [`cluster`] — multi-GPU simulation: the fleet control plane
+//!   ([`cluster::FleetSim`]) driving GPUs through arrival/departure churn
+//!   with optional online re-placement and migration; a static cluster is a
+//!   one-epoch run of a [`cluster::FleetTrace::fixed`] trace;
 //! * [`runtime`] — a real multi-threaded interception front-end (per-client
 //!   software queues) used to measure kernel-launch interception overhead
 //!   (§6.5).
@@ -71,8 +71,8 @@ pub mod world;
 pub mod prelude {
     pub use crate::client::{ClientPriority, ClientSpec};
     pub use crate::cluster::{
-        ClusterError, ClusterJob, ClusterResult, DedicatedRef, EpisodeSpec, FleetConfig,
-        FleetJob, FleetReport, FleetSim, FleetTrace, FleetTraceConfig,
+        ClusterError, DedicatedRef, EpisodeSpec, FleetConfig, FleetJob, FleetReport, FleetSim,
+        FleetTrace, FleetTraceConfig,
     };
     pub use crate::online::{OnlineConfig, OnlineReport};
     pub use crate::policy::{OrionConfig, PolicyKind};

@@ -2,16 +2,11 @@
 //!
 //! Given a set of jobs with offline profiles, the cluster manager can place
 //! jobs with *complementary* compute/memory profiles on the same GPU to
-//! maximize utilization and minimize interference. This module implements
-//! two matchers over a complementarity score:
-//!
-//! - [`place_jobs`]: the original greedy *pair* matcher (one edge list,
-//!   descending score), kept for the small-cluster [`crate::cluster::run_cluster`]
-//!   path and the examples.
-//! - [`FleetPlacer`] / [`pack_jobs`]: an incremental *k-way* packer — a GPU
-//!   hosts at most one high-priority job plus N best-effort jobs subject to
-//!   the memory ledger — used by the fleet control plane
-//!   ([`crate::cluster::FleetSim`]) where jobs arrive and depart over time.
+//! maximize utilization and minimize interference. [`FleetPlacer`] is an
+//! incremental *k-way* packer over a complementarity score — a GPU hosts at
+//! most one high-priority job plus N best-effort jobs subject to the memory
+//! ledger — used by the fleet control plane ([`crate::cluster::FleetSim`])
+//! where jobs arrive and depart over time.
 //!
 //! All tie-breaks are explicit (score, then lowest job/GPU index) so
 //! placement is a pure function of its inputs: the fleet determinism tests
@@ -92,76 +87,7 @@ pub fn complementarity(a: &Workload, b: &Workload) -> f64 {
     demand_complementarity(demand_vector(a), demand_vector(b))
 }
 
-/// A pairing of job indices onto GPUs.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Placement {
-    /// Pairs of job indices sharing a GPU.
-    pub pairs: Vec<(usize, usize)>,
-    /// Jobs placed alone (odd one out), in index order.
-    pub singles: Vec<usize>,
-    /// Jobs whose footprint exceeds `gpu_memory` on their own: they cannot
-    /// be placed at all, not even alone, and the caller must reject them.
-    pub oversized: Vec<usize>,
-    /// Sum of pair complementarity scores.
-    pub total_score: f64,
-}
-
-/// Greedily pairs jobs across GPUs by descending complementarity, subject to
-/// the pair fitting in `gpu_memory` bytes.
-///
-/// Jobs that do not fit on a device even alone land in
-/// [`Placement::oversized`], never in `singles`. Equal-score edges resolve
-/// by lowest `(i, j)` so the placement is deterministic.
-pub fn place_jobs(jobs: &[Workload], gpu_memory: u64) -> Placement {
-    let n = jobs.len();
-    let mut edges: Vec<(f64, usize, usize)> = Vec::new();
-    for i in 0..n {
-        for j in (i + 1)..n {
-            if jobs[i].memory_footprint + jobs[j].memory_footprint <= gpu_memory {
-                edges.push((complementarity(&jobs[i], &jobs[j]), i, j));
-            }
-        }
-    }
-    // Descending score; ties resolve by lowest (i, j) pair so the result is
-    // independent of how the edge list happened to be built.
-    edges.sort_by(|a, b| {
-        b.0.partial_cmp(&a.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| (a.1, a.2).cmp(&(b.1, b.2)))
-    });
-
-    let mut used = vec![false; n];
-    let mut pairs = Vec::new();
-    let mut total_score = 0.0;
-    for (score, i, j) in edges {
-        if !used[i] && !used[j] {
-            used[i] = true;
-            used[j] = true;
-            pairs.push((i, j));
-            total_score += score;
-        }
-    }
-    let mut singles = Vec::new();
-    let mut oversized = Vec::new();
-    for i in 0..n {
-        if used[i] {
-            continue;
-        }
-        if jobs[i].memory_footprint > gpu_memory {
-            oversized.push(i);
-        } else {
-            singles.push(i);
-        }
-    }
-    Placement {
-        pairs,
-        singles,
-        oversized,
-        total_score,
-    }
-}
-
-/// Placement-relevant summary of one job for the k-way packer.
+/// What the k-way packer needs to know about one job.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PackJob {
     /// Memory footprint in bytes (charged against the GPU ledger).
@@ -378,48 +304,10 @@ impl FleetPlacer {
     }
 }
 
-/// A k-way packing of a static job set onto as few GPUs as possible.
-#[derive(Debug, Clone, PartialEq)]
-pub struct Packing {
-    /// Per-GPU groups of job indices (GPUs in use order, residents in
-    /// placement order; a group's first high-priority job, if any, is the
-    /// GPU's HP client).
-    pub groups: Vec<Vec<usize>>,
-    /// Jobs whose footprint exceeds `gpu_memory`: not placed anywhere.
-    pub oversized: Vec<usize>,
-}
-
-/// Packs a static job set with the incremental [`FleetPlacer`]: high-priority
-/// jobs first (so the one-HP-per-GPU rule spreads them across devices), then
-/// best-effort jobs, each in submission-index order.
-pub fn pack_jobs(jobs: &[PackJob], gpu_memory: u64, max_jobs_per_gpu: usize) -> Packing {
-    let mut placer = FleetPlacer::new(jobs.len(), gpu_memory, max_jobs_per_gpu);
-    let mut oversized = Vec::new();
-    let hp_first = (0..jobs.len())
-        .filter(|&i| jobs[i].hp)
-        .chain((0..jobs.len()).filter(|&i| !jobs[i].hp));
-    for i in hp_first {
-        if jobs[i].mem > gpu_memory {
-            oversized.push(i);
-            continue;
-        }
-        let placed = placer.try_place(i, jobs[i], None);
-        debug_assert!(placed.is_some(), "one GPU per job always suffices");
-    }
-    oversized.sort_unstable();
-    let groups = placer
-        .gpus
-        .iter()
-        .filter(|g| !g.residents.is_empty())
-        .map(|g| g.residents.clone())
-        .collect();
-    Packing { groups, oversized }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use orion_workloads::registry::{inference_workload, training_workload};
+    use orion_workloads::registry::inference_workload;
     use orion_workloads::ModelKind;
 
     #[test]
@@ -456,123 +344,6 @@ mod tests {
     }
 
     #[test]
-    fn placement_pairs_all_when_they_fit() {
-        let jobs = vec![
-            inference_workload(ModelKind::Bert),
-            inference_workload(ModelKind::LlmDecode),
-            inference_workload(ModelKind::ResNet50),
-            inference_workload(ModelKind::MobileNetV2),
-        ];
-        let p = place_jobs(&jobs, 16 * (1 << 30));
-        assert_eq!(p.pairs.len(), 2);
-        assert!(p.singles.is_empty());
-        assert!(p.oversized.is_empty());
-        // BERT (compute) pairs with the LLM decode (memory).
-        assert!(p.pairs.contains(&(0, 1)) || p.pairs.contains(&(1, 0)));
-    }
-
-    #[test]
-    fn placement_respects_memory() {
-        // Two large training jobs that cannot share a 8 GiB device — and the
-        // transformer (8.5 GiB) cannot even fit *alone*, so it must be
-        // rejected rather than placed on a device it cannot fit
-        // (regression: pre-fix code returned singles == [0, 1]).
-        let jobs = vec![
-            training_workload(ModelKind::Transformer), // 8.5 GiB
-            training_workload(ModelKind::MobileNetV2), // 6.9 GiB
-        ];
-        let p = place_jobs(&jobs, 8 * (1 << 30));
-        assert!(p.pairs.is_empty());
-        assert_eq!(p.singles, vec![1]);
-        assert_eq!(p.oversized, vec![0]);
-    }
-
-    #[test]
-    fn odd_job_counts_leave_a_single() {
-        let jobs = vec![
-            inference_workload(ModelKind::ResNet50),
-            inference_workload(ModelKind::ResNet101),
-            inference_workload(ModelKind::MobileNetV2),
-        ];
-        let p = place_jobs(&jobs, 16 * (1 << 30));
-        assert_eq!(p.pairs.len(), 1);
-        assert_eq!(p.singles.len(), 1);
-        assert!(p.oversized.is_empty());
-    }
-
-    #[test]
-    fn equal_score_ties_resolve_by_lowest_index() {
-        // Four identical workloads: every edge has the same score. The
-        // greedy matcher must deterministically pick (0,1) then (2,3).
-        let jobs = vec![
-            inference_workload(ModelKind::ResNet50),
-            inference_workload(ModelKind::ResNet50),
-            inference_workload(ModelKind::ResNet50),
-            inference_workload(ModelKind::ResNet50),
-        ];
-        let p = place_jobs(&jobs, 16 * (1 << 30));
-        assert_eq!(p.pairs, vec![(0, 1), (2, 3)]);
-    }
-
-    #[test]
-    fn packer_respects_hp_and_memory_invariants() {
-        let gib = 1u64 << 30;
-        let hp = |mem| PackJob {
-            mem,
-            demand: (0.8, 0.2),
-            hp: true,
-        };
-        let be = |mem, demand| PackJob {
-            mem,
-            demand,
-            hp: false,
-        };
-        let jobs = vec![
-            hp(2 * gib),
-            hp(2 * gib),
-            be(6 * gib, (0.1, 0.9)),
-            be(6 * gib, (0.1, 0.9)),
-            be(5 * gib, (0.7, 0.3)),
-        ];
-        let p = pack_jobs(&jobs, 16 * gib, 3);
-        // The two HP jobs must land on different GPUs.
-        let gpu_of = |id: usize| {
-            p.groups
-                .iter()
-                .position(|g| g.contains(&id))
-                .expect("placed")
-        };
-        assert_ne!(gpu_of(0), gpu_of(1));
-        for g in &p.groups {
-            assert!(g.len() <= 3);
-            let mem: u64 = g.iter().map(|&i| jobs[i].mem).sum();
-            assert!(mem <= 16 * gib);
-            assert!(g.iter().filter(|&&i| jobs[i].hp).count() <= 1);
-        }
-        assert!(p.oversized.is_empty());
-    }
-
-    #[test]
-    fn packer_rejects_oversized_jobs() {
-        let gib = 1u64 << 30;
-        let jobs = vec![
-            PackJob {
-                mem: 20 * gib,
-                demand: (0.5, 0.5),
-                hp: false,
-            },
-            PackJob {
-                mem: 2 * gib,
-                demand: (0.5, 0.5),
-                hp: false,
-            },
-        ];
-        let p = pack_jobs(&jobs, 16 * gib, 4);
-        assert_eq!(p.oversized, vec![0]);
-        assert_eq!(p.groups, vec![vec![1]]);
-    }
-
-    #[test]
     fn placer_churn_round_trip() {
         let gib = 1u64 << 30;
         let mut placer = FleetPlacer::new(2, 16 * gib, 4);
@@ -598,6 +369,32 @@ mod tests {
         let mut full = FleetPlacer::new(1, 16 * gib, 1);
         full.force_place(0, job(false), 0);
         assert_eq!(full.try_place(1, job(false), None), None);
+
+        // A static job set placed HP-first, one GPU per job available: the
+        // HP jobs spread, and every GPU holds at most one HP job, at most
+        // three residents, and no more memory than it has. A job larger
+        // than a device places nowhere.
+        let sized = |mem, demand, hp| PackJob { mem, demand, hp };
+        let jobs = [
+            sized(2 * gib, (0.8, 0.2), true),
+            sized(2 * gib, (0.8, 0.2), true),
+            sized(6 * gib, (0.1, 0.9), false),
+            sized(6 * gib, (0.1, 0.9), false),
+            sized(5 * gib, (0.7, 0.3), false),
+            sized(20 * gib, (0.5, 0.5), false),
+        ];
+        let mut packed = FleetPlacer::new(jobs.len(), 16 * gib, 3);
+        for (id, &j) in jobs.iter().enumerate() {
+            assert_eq!(packed.try_place(id, j, None).is_some(), id < 5, "job {id}");
+        }
+        assert_ne!(packed.gpu_of(0), packed.gpu_of(1));
+        for g in 0..packed.gpus() {
+            let residents = packed.residents(g);
+            assert!(residents.len() <= 3);
+            let mem: u64 = residents.iter().map(|&i| jobs[i].mem).sum();
+            assert_eq!(packed.free_mem(g), 16 * gib - mem);
+            assert!(residents.iter().filter(|&&i| jobs[i].hp).count() <= 1);
+        }
     }
 
     #[test]

@@ -15,6 +15,3 @@ cargo build --release -p orion-bench
 
 echo "==> bench_engine (ORION_FAST=${ORION_FAST:-0})"
 ./target/release/bench_engine
-
-echo "==> engine microbench (per-iteration timings)"
-cargo bench -p orion-bench --bench engine

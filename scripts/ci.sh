@@ -53,8 +53,8 @@ cargo test -q --release -p orion-bench --test smoke llm_serving_full_grid_story 
 echo "==> golden trace digest (oracle + fault injection compiled in but disabled: must be byte-identical)"
 cargo test -q -p orion-gpu --test golden_trace --test error_paths
 
-echo "==> cargo bench --no-run (benches stay compilable)"
-cargo bench --workspace --no-run
+echo "==> cluster_placement example (static cluster as a one-epoch FleetSim run)"
+cargo run -q --release --example cluster_placement
 
 echo "==> bench smoke + perf gate (16-stream within 20% of 4-stream; 64-stream at least 45% of 16-stream)"
 ORION_FAST=1 ORION_BENCH_GATE=1 scripts/bench.sh
