@@ -131,11 +131,11 @@ fn engine_config(n_ops: u64, n_streams: usize, iters: u32) -> Result<Value, Box<
 }
 
 /// One Figure 6/7-style collocation cell (HP ResNet50 inference under
-/// Poisson arrivals + BE ResNet50 training, Orion policy), with the trace
-/// enabled so the executed-op count is exact.
+/// Poisson arrivals + BE ResNet50 training, Orion policy), run untraced as
+/// the experiments run; the executed-op count is the engine's completion
+/// counter.
 fn collocation(cfg: &ExpConfig) -> Result<Value, Box<dyn Error>> {
-    let mut rc = cfg.run_config();
-    rc.record_trace = true;
+    let rc = cfg.run_config();
     let clients = vec![
         hp_inference(
             ModelKind::ResNet50,
@@ -148,7 +148,7 @@ fn collocation(cfg: &ExpConfig) -> Result<Value, Box<dyn Error>> {
     let mut r = run_collocation(policy, clients, &rc)
         .map_err(|e| format!("collocation cell failed to run: {e}"))?;
     let wall = start.elapsed();
-    let ops = r.trace.as_ref().map_or(0, |t| t.len()) as u64;
+    let ops = r.ops_completed;
     let eps = ops as f64 / wall.as_secs_f64();
     let be_tput = r.be_throughput();
     let hp = r

@@ -303,19 +303,18 @@ impl ClientState {
     /// profile misses).
     pub fn op_for(&self, request_id: u64, op_seq: u32) -> QueuedOp {
         let idx = op_seq as usize;
-        let (phase, spec) = self.spec.workload.ops[idx].clone();
-        let (profile, expected_dur, sm_needed, profiled) = match &spec {
-            OpSpec::Kernel(k) => (
-                self.profile.resource_profile(k.kernel_id),
-                self.profile.duration(k.kernel_id),
-                self.profile.sm_needed(k.kernel_id),
-                self.profile.get(k.kernel_id).is_some(),
-            ),
+        let (phase, spec) = &self.spec.workload.ops[idx];
+        // One profile lookup per op; a miss leaves the kernel unprofiled.
+        let (profile, expected_dur, sm_needed, profiled) = match spec {
+            OpSpec::Kernel(k) => match self.profile.get(k.kernel_id) {
+                Some(p) => (p.profile, p.duration, p.sm_needed, true),
+                None => (ResourceProfile::Unknown, SimTime::ZERO, 0, false),
+            },
             _ => (ResourceProfile::Unknown, SimTime::ZERO, 0, true),
         };
         QueuedOp {
-            spec,
-            phase,
+            spec: spec.clone(),
+            phase: *phase,
             request_id,
             op_seq,
             last_of_request: idx + 1 == self.spec.workload.ops.len(),
@@ -328,44 +327,24 @@ impl ClientState {
 
     /// Pushes the next op of the current request into the software queue.
     ///
-    /// Returns the pushed op's metadata, or `None` when nothing can be
-    /// pushed (blocked, finished, or no request).
-    pub fn push_next(&mut self) -> Option<QueuedOp> {
+    /// Returns the pushed op (now the queue's tail), or `None` when nothing
+    /// can be pushed (blocked, finished, or no request).
+    pub fn push_next(&mut self) -> Option<&QueuedOp> {
         if !self.can_push() {
             return None;
         }
         let r = self.current.as_mut().expect("can_push checked");
-        let idx = r.next_op as usize;
-        let (phase, spec) = self.spec.workload.ops[idx].clone();
-        let (profile, expected_dur, sm_needed, profiled) = match &spec {
-            OpSpec::Kernel(k) => (
-                self.profile.resource_profile(k.kernel_id),
-                self.profile.duration(k.kernel_id),
-                self.profile.sm_needed(k.kernel_id),
-                self.profile.get(k.kernel_id).is_some(),
-            ),
-            _ => (ResourceProfile::Unknown, SimTime::ZERO, 0, true),
-        };
-        if !profiled {
+        let (request_id, op_seq) = (r.request_id, r.next_op);
+        r.next_op += 1;
+        let op = self.op_for(request_id, op_seq);
+        if !op.profiled {
             self.profile_misses += 1;
         }
-        let op = QueuedOp {
-            spec,
-            phase,
-            request_id: r.request_id,
-            op_seq: r.next_op,
-            last_of_request: idx + 1 == self.spec.workload.ops.len(),
-            profile,
-            expected_dur,
-            sm_needed,
-            profiled,
-        };
-        r.next_op += 1;
         if op.is_blocking() {
-            self.blocked_on = Some((op.request_id, op.op_seq));
+            self.blocked_on = Some((request_id, op_seq));
         }
-        self.queue.push_back(op.clone());
-        Some(op)
+        self.queue.push_back(op);
+        self.queue.back()
     }
 
     /// Handles the completion of one of this client's ops.
@@ -430,7 +409,7 @@ mod tests {
         assert!(!c.try_start_request(), "no double start");
 
         // Push the whole request; the first op (blocking H2D) blocks.
-        let op0 = c.push_next().unwrap();
+        let op0 = c.push_next().cloned().unwrap();
         assert!(op0.is_blocking());
         assert!(!c.can_push());
         assert!(c.push_next().is_none());
@@ -443,7 +422,7 @@ mod tests {
         // Drain the rest of the ops.
         let total = c.spec.workload.ops.len() as u32;
         let mut last = None;
-        while let Some(op) = c.push_next() {
+        while let Some(op) = c.push_next().cloned() {
             if op.is_blocking() {
                 c.on_op_complete(SimTime::from_millis(3), op.request_id, op.op_seq, false);
             }
@@ -485,7 +464,7 @@ mod tests {
         c.try_start_request();
         c.push_next(); // H2D
         c.blocked_on = None;
-        let op = c.push_next().unwrap(); // first kernel
+        let op = c.push_next().cloned().unwrap(); // first kernel
         assert!(op.is_kernel());
         assert!(op.expected_dur > SimTime::ZERO);
         assert!(op.sm_needed > 0);
@@ -531,7 +510,7 @@ mod tests {
         c.try_start_request();
         c.push_next(); // blocking H2D
         c.blocked_on = None;
-        let pushed = c.push_next().unwrap(); // first kernel
+        let pushed = c.push_next().cloned().unwrap(); // first kernel
         let rebuilt = c.op_for(pushed.request_id, pushed.op_seq);
         assert_eq!(rebuilt.op_seq, pushed.op_seq);
         assert_eq!(rebuilt.expected_dur, pushed.expected_dur);
@@ -550,7 +529,7 @@ mod tests {
         c.on_arrival(SimTime::ZERO);
         c.try_start_request();
         let mut kernels = 0u64;
-        while let Some(op) = c.push_next() {
+        while let Some(op) = c.push_next().cloned() {
             c.blocked_on = None;
             if op.is_kernel() {
                 assert!(!op.profiled);

@@ -2,7 +2,7 @@
 
 use orion_gpu::stream::{StreamId, StreamPriority};
 
-use super::{Policy, PolicyDebugState, RoutedCompletion, SchedCtx};
+use super::{split_clients, Policy, PolicyDebugState, RoutedCompletion, SchedCtx};
 use crate::client::ClientPriority;
 
 /// Pass-through spatial sharing: every client submits directly to its own
@@ -97,6 +97,10 @@ impl Policy for PassThrough {
 #[derive(Debug)]
 pub struct Temporal {
     streams: Vec<Option<StreamId>>,
+    /// High-priority client indices (fixed at setup).
+    hp_clients: Vec<usize>,
+    /// Best-effort client indices (fixed at setup).
+    be_clients: Vec<usize>,
     /// The client whose request currently owns the GPU, with its request id.
     active: Option<(usize, u64)>,
 }
@@ -106,6 +110,8 @@ impl Temporal {
     pub fn new() -> Self {
         Temporal {
             streams: Vec::new(),
+            hp_clients: Vec::new(),
+            be_clients: Vec::new(),
             active: None,
         }
     }
@@ -116,8 +122,7 @@ impl Temporal {
     /// is mid-push), the pick is deferred so the HP request is not overtaken
     /// by a best-effort iteration at the same instant.
     fn pick_next(&self, ctx: &SchedCtx) -> Option<(usize, u64)> {
-        let (hp, be) = ctx.split_clients();
-        for &i in &hp {
+        for &i in &self.hp_clients {
             if let Some(op) = ctx.clients[i].peek() {
                 return Some((i, op.request_id));
             }
@@ -125,7 +130,7 @@ impl Temporal {
                 return None; // HP ops are imminent; hold the device.
             }
         }
-        for &i in &be {
+        for &i in &self.be_clients {
             if let Some(op) = ctx.clients[i].peek() {
                 return Some((i, op.request_id));
             }
@@ -151,6 +156,7 @@ impl Policy for Temporal {
             .iter()
             .map(|_| Some(ctx.gpu.create_stream(StreamPriority::DEFAULT)))
             .collect();
+        (self.hp_clients, self.be_clients) = split_clients(ctx.clients);
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx) {

@@ -24,7 +24,7 @@ pub use orion::{Orion, OrionConfig};
 
 /// An operation submitted to the GPU, with the routing metadata the world
 /// needs to attribute its completion.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Copy)]
 pub struct Routed {
     /// GPU operation id.
     pub op: OpId,
@@ -136,24 +136,31 @@ impl SchedCtx<'_> {
             .spec
             .drift
             .map_or(1.0, |d| d.scale_at(self.now));
-        let kind = match &op.spec {
+        let submitted = match &op.spec {
             OpSpec::Kernel(k) if drift_scale != 1.0 => {
                 // Drifted kernels get a private, rescaled description.
                 let mut k = (**k).clone();
                 k.solo_duration = k.solo_duration.mul_f64(drift_scale);
-                OpKind::Kernel(std::sync::Arc::new(k))
+                self.gpu.submit_kernel(stream, &std::sync::Arc::new(k))
             }
-            OpSpec::Kernel(k) => OpKind::Kernel(k.clone()),
-            OpSpec::H2D { bytes, blocking } => OpKind::MemcpyH2D {
-                bytes: *bytes,
-                blocking: *blocking,
-            },
-            OpSpec::D2H { bytes, blocking } => OpKind::MemcpyD2H {
-                bytes: *bytes,
-                blocking: *blocking,
-            },
+            // Un-drifted kernels go by reference to the shared prototype.
+            OpSpec::Kernel(k) => self.gpu.submit_kernel(stream, k),
+            OpSpec::H2D { bytes, blocking } => self.gpu.submit(
+                stream,
+                OpKind::MemcpyH2D {
+                    bytes: *bytes,
+                    blocking: *blocking,
+                },
+            ),
+            OpSpec::D2H { bytes, blocking } => self.gpu.submit(
+                stream,
+                OpKind::MemcpyD2H {
+                    bytes: *bytes,
+                    blocking: *blocking,
+                },
+            ),
         };
-        let op_id = match self.gpu.submit(stream, kind) {
+        let op_id = match submitted {
             Ok(id) => id,
             Err(GpuError::DeviceFault) => {
                 // Sticky device fault raced the scheduling round: keep the
@@ -177,22 +184,24 @@ impl SchedCtx<'_> {
             phase: op.phase,
             profiled: op.profiled,
         };
-        self.submissions.push(routed.clone());
+        self.submissions.push(routed);
         Some(routed)
     }
+}
 
-    /// Indices of clients by priority class.
-    pub fn split_clients(&self) -> (Vec<usize>, Vec<usize>) {
-        let mut hp = Vec::new();
-        let mut be = Vec::new();
-        for (i, c) in self.clients.iter().enumerate() {
-            match c.priority() {
-                crate::client::ClientPriority::HighPriority => hp.push(i),
-                crate::client::ClientPriority::BestEffort => be.push(i),
-            }
+/// Indices of `clients` by priority class: `(high_priority, best_effort)`.
+/// Client classes are fixed for a run, so policies compute this once in
+/// [`Policy::setup`].
+pub(crate) fn split_clients(clients: &[ClientState]) -> (Vec<usize>, Vec<usize>) {
+    let mut hp = Vec::new();
+    let mut be = Vec::new();
+    for (i, c) in clients.iter().enumerate() {
+        match c.priority() {
+            crate::client::ClientPriority::HighPriority => hp.push(i),
+            crate::client::ClientPriority::BestEffort => be.push(i),
         }
-        (hp, be)
     }
+    (hp, be)
 }
 
 /// A GPU-sharing scheduling policy.

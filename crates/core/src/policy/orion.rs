@@ -30,7 +30,7 @@ use orion_gpu::engine::OpId;
 use orion_gpu::kernel::ResourceProfile;
 use orion_gpu::stream::{StreamId, StreamPriority};
 
-use super::{Policy, PolicyDebugState, RoutedCompletion, SchedCtx};
+use super::{split_clients, Policy, PolicyDebugState, RoutedCompletion, SchedCtx};
 use crate::client::ClientPriority;
 
 /// Orion configuration: the paper's defaults plus the ablation switches of
@@ -121,6 +121,10 @@ pub struct Orion {
     hp_stream: Option<StreamId>,
     /// One stream per client index (best-effort clients only).
     be_streams: Vec<Option<StreamId>>,
+    /// High-priority client indices (fixed at setup).
+    hp_clients: Vec<usize>,
+    /// Best-effort client indices (fixed at setup).
+    be_clients: Vec<usize>,
     /// Absolute `DUR_THRESHOLD` derived from the HP profile at setup.
     dur_threshold: SimTime,
     /// Per-HP-client absolute thresholds feeding the min above. Setup seeds
@@ -131,8 +135,10 @@ pub struct Orion {
     /// forever.
     dur_thresholds: HashMap<usize, SimTime>,
     sm_threshold: u32,
-    /// Outstanding best-effort kernels with their profiles.
-    be_outstanding: HashMap<OpId, ResourceProfile>,
+    /// Outstanding best-effort kernels with their profiles. A handful at a
+    /// time (the duration throttle bounds it), so a linear scan beats
+    /// hashing.
+    be_outstanding: Vec<(OpId, ResourceProfile)>,
     /// Cumulative expected duration counter (`be_duration` in Listing 1).
     be_duration: SimTime,
     /// Outstanding high-priority kernels with their profiles.
@@ -159,10 +165,12 @@ impl Orion {
             cfg,
             hp_stream: None,
             be_streams: Vec::new(),
+            hp_clients: Vec::new(),
+            be_clients: Vec::new(),
             dur_threshold: SimTime::MAX,
             dur_thresholds: HashMap::new(),
             sm_threshold: u32::MAX,
-            be_outstanding: HashMap::new(),
+            be_outstanding: Vec::new(),
             be_duration: SimTime::ZERO,
             hp_outstanding: Vec::new(),
             hp_copy_ids: HashSet::new(),
@@ -222,8 +230,8 @@ impl Orion {
         if self.cfg.gate_be_vs_be
             && self
                 .be_outstanding
-                .values()
-                .any(|&p| p != ResourceProfile::Unknown && p == be_profile)
+                .iter()
+                .any(|&(_, p)| p != ResourceProfile::Unknown && p == be_profile)
         {
             // Another best-effort kernel with the same bottleneck is already
             // on the device; stacking them saturates that resource.
@@ -251,6 +259,7 @@ impl Policy for Orion {
             StreamPriority::DEFAULT
         };
         self.be_streams = vec![None; ctx.clients.len()];
+        (self.hp_clients, self.be_clients) = split_clients(ctx.clients);
         for (i, c) in ctx.clients.iter().enumerate() {
             match c.priority() {
                 ClientPriority::HighPriority => {
@@ -285,11 +294,10 @@ impl Policy for Orion {
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx) {
-        let (hp_clients, be_clients) = ctx.split_clients();
-
         // High-priority ops are submitted immediately (Listing 1 line 7-8).
         if let Some(hp_stream) = self.hp_stream {
-            for &hc in &hp_clients {
+            for i in 0..self.hp_clients.len() {
+                let hc = self.hp_clients[i];
                 while ctx.clients[hc].peek().is_some() {
                     let blocking_copy = ctx.clients[hc]
                         .peek()
@@ -308,13 +316,13 @@ impl Policy for Orion {
         }
 
         // Best-effort clients, round-robin (§5.1.1).
-        if be_clients.is_empty() {
+        if self.be_clients.is_empty() {
             return;
         }
-        let n = be_clients.len();
+        let n = self.be_clients.len();
         let mut idle_rounds = 0;
         while idle_rounds < n {
-            let bc = be_clients[self.rr % n];
+            let bc = self.be_clients[self.rr % n];
             self.rr = (self.rr + 1) % n;
             let Some(stream) = self.be_streams[bc] else {
                 idle_rounds += 1;
@@ -355,7 +363,7 @@ impl Policy for Orion {
             let Some(routed) = ctx.submit_head(bc, stream) else {
                 return; // device faulted: head requeued, retry next round
             };
-            self.be_outstanding.insert(routed.op, routed.profile);
+            self.be_outstanding.push((routed.op, routed.profile));
             self.be_duration += routed.expected_dur;
             idle_rounds = 0;
         }
@@ -384,8 +392,12 @@ impl Policy for Orion {
 
     fn on_completions(&mut self, completions: &[RoutedCompletion], ctx: &mut SchedCtx) {
         for c in completions {
-            self.be_outstanding.remove(&c.op);
-            self.hp_copy_ids.remove(&c.op);
+            if let Some(pos) = self.be_outstanding.iter().position(|(op, _)| *op == c.op) {
+                self.be_outstanding.swap_remove(pos);
+            }
+            if !self.hp_copy_ids.is_empty() {
+                self.hp_copy_ids.remove(&c.op);
+            }
             if let Some(pos) = self.hp_outstanding.iter().position(|(op, _)| *op == c.op) {
                 self.hp_outstanding.remove(pos);
             } else if !c.is_kernel
@@ -404,7 +416,7 @@ impl Policy for Orion {
     fn debug_state(&self) -> PolicyDebugState {
         PolicyDebugState {
             hp_stream: self.hp_stream,
-            be_kernels: Some(self.be_outstanding.keys().copied().collect()),
+            be_kernels: Some(self.be_outstanding.iter().map(|(op, _)| *op).collect()),
             hp_kernels: Some(self.hp_outstanding.iter().map(|(op, _)| *op).collect()),
             be_duration: Some(self.be_duration),
             dur_threshold: Some(self.dur_threshold),
@@ -603,14 +615,14 @@ mod tests {
         o.sm_threshold = 80;
         // A memory-bound BE kernel is outstanding; another memory-bound BE
         // kernel is blocked even with no HP activity.
-        o.be_outstanding.insert(OpId(7), ResourceProfile::MemoryBound);
+        o.be_outstanding.push((OpId(7), ResourceProfile::MemoryBound));
         assert!(!o.schedule_be(ResourceProfile::MemoryBound, 20, true));
         assert!(o.schedule_be(ResourceProfile::ComputeBound, 20, true));
         assert!(o.schedule_be(ResourceProfile::Unknown, 20, true));
         // Without the extension the stacking is allowed (paper-faithful).
         let mut o = Orion::new(OrionConfig::default());
         o.sm_threshold = 80;
-        o.be_outstanding.insert(OpId(7), ResourceProfile::MemoryBound);
+        o.be_outstanding.push((OpId(7), ResourceProfile::MemoryBound));
         assert!(o.schedule_be(ResourceProfile::MemoryBound, 20, true));
     }
 

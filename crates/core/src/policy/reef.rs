@@ -19,7 +19,7 @@ use orion_desim::time::SimTime;
 use orion_gpu::engine::OpId;
 use orion_gpu::stream::{StreamId, StreamPriority};
 
-use super::{Policy, PolicyDebugState, RoutedCompletion, SchedCtx};
+use super::{split_clients, Policy, PolicyDebugState, RoutedCompletion, SchedCtx};
 use crate::client::ClientPriority;
 
 /// The REEF-N policy.
@@ -28,6 +28,10 @@ pub struct ReefN {
     queue_depth: usize,
     hp_stream: Option<StreamId>,
     be_streams: Vec<Option<StreamId>>,
+    /// High-priority client indices (fixed at setup).
+    hp_clients: Vec<usize>,
+    /// Best-effort client indices (fixed at setup).
+    be_clients: Vec<usize>,
     /// Outstanding high-priority kernels: op -> (expected end, sm_needed).
     hp_outstanding: HashMap<OpId, (SimTime, u32)>,
     /// Outstanding best-effort ops on the device.
@@ -42,6 +46,8 @@ impl ReefN {
             queue_depth,
             hp_stream: None,
             be_streams: Vec::new(),
+            hp_clients: Vec::new(),
+            be_clients: Vec::new(),
             hp_outstanding: HashMap::new(),
             be_outstanding: 0,
             rr: 0,
@@ -72,6 +78,7 @@ impl Policy for ReefN {
 
     fn setup(&mut self, ctx: &mut SchedCtx) {
         self.be_streams = vec![None; ctx.clients.len()];
+        (self.hp_clients, self.be_clients) = split_clients(ctx.clients);
         for (i, c) in ctx.clients.iter().enumerate() {
             match c.priority() {
                 ClientPriority::HighPriority => {
@@ -85,11 +92,10 @@ impl Policy for ReefN {
     }
 
     fn schedule(&mut self, ctx: &mut SchedCtx) {
-        let (hp_clients, be_clients) = ctx.split_clients();
-
         // High-priority bypass: HP ops go straight to the device.
         if let Some(hp_stream) = self.hp_stream {
-            for &hc in &hp_clients {
+            for i in 0..self.hp_clients.len() {
+                let hc = self.hp_clients[i];
                 while ctx.clients[hc].peek().is_some() {
                     let Some(routed) = ctx.submit_head(hc, hp_stream) else {
                         return; // device faulted: head requeued, retry next round
@@ -104,17 +110,17 @@ impl Policy for ReefN {
             }
         }
 
-        if be_clients.is_empty() {
+        if self.be_clients.is_empty() {
             return;
         }
         let num_sms = ctx.gpu.spec().num_sms;
-        let n = be_clients.len();
+        let n = self.be_clients.len();
         let mut idle = 0;
         while idle < n {
             if self.be_outstanding >= self.queue_depth {
                 break;
             }
-            let bc = be_clients[self.rr % n];
+            let bc = self.be_clients[self.rr % n];
             self.rr = (self.rr + 1) % n;
             let Some(stream) = self.be_streams[bc] else {
                 idle += 1;

@@ -1,6 +1,6 @@
 //! The collocation engine: clients + policy + GPU wired into a DES world.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 
 use orion_desim::prelude::*;
 use orion_desim::rng::cell_seed;
@@ -164,6 +164,12 @@ pub struct RunResult {
     /// ladder learned. The fleet control plane carries these across epochs
     /// so re-placement is fed by learned profiles, not offline tables only.
     pub learned: Option<Vec<orion_profiler::ProfileTable>>,
+    /// DES events dispatched over the run (host-cost counter; never part
+    /// of any result file).
+    pub sim_events: u64,
+    /// Device operations completed over the run, any status (the engine's
+    /// completion counter).
+    pub ops_completed: u64,
 }
 
 impl RunResult {
@@ -222,8 +228,16 @@ struct CollocationWorld {
     gpu: GpuEngine,
     clients: Vec<ClientState>,
     policy: Option<Box<dyn Policy>>,
-    routes: HashMap<u64, RouteInfo>,
+    /// Routing slab indexed by engine op id. The engine recycles an op's
+    /// slot only after its completion is drained, and the world removes the
+    /// route in that same drain, so a slot is vacant whenever it is reused.
+    routes: Vec<Option<RouteInfo>>,
+    /// Per-client count of routed ops still on the device.
+    inflight: Vec<u32>,
+    /// Token of the only valid pending `GpuWake`; older tokens are stale.
     wake_token: u64,
+    /// Time of the valid pending `GpuWake`, if one is pending.
+    wake_at: Option<SimTime>,
     /// Per-client launch cost on the client thread (overhead x GIL factor).
     launch_cost: Vec<SimTime>,
     /// The policy-state oracle, when enabled via [`RunConfig::validate`].
@@ -247,6 +261,10 @@ struct CollocationWorld {
     /// [`GpuEngine::drain_completions_into`]: once both buffers have grown
     /// to the peak batch size, steady-state drains allocate nothing.
     completion_buf: Vec<Completion>,
+    /// Reused per-round submission log handed to the policy.
+    submissions: Vec<Routed>,
+    /// Reused per-drain routed-completion buffer.
+    routed: Vec<RoutedCompletion>,
 }
 
 impl CollocationWorld {
@@ -263,7 +281,8 @@ impl CollocationWorld {
         pre: impl FnOnce(&mut dyn Policy, &mut SchedCtx),
     ) {
         let mut policy = self.policy.take().expect("policy present");
-        let mut submissions = Vec::new();
+        let mut submissions = std::mem::take(&mut self.submissions);
+        submissions.clear();
         {
             let mut ctx = SchedCtx {
                 now,
@@ -284,6 +303,7 @@ impl CollocationWorld {
             self.recovery_requeued.clear();
             self.recovery_shed.clear();
         }
+        self.submissions = submissions;
         self.arm_wake(now, sched);
     }
 
@@ -315,28 +335,42 @@ impl CollocationWorld {
                 Some(s) => now + r.expected_dur + s.cfg.op_timeout,
                 None => SimTime::MAX,
             };
-            self.routes.insert(
-                r.op.0,
-                RouteInfo {
-                    client: r.client,
-                    request_id: r.request_id,
-                    op_seq: r.op_seq,
-                    last_of_request: r.last_of_request,
-                    is_kernel: r.is_kernel,
-                    deadline,
-                },
-            );
+            let slot = r.op.0 as usize;
+            if slot >= self.routes.len() {
+                self.routes.resize_with(slot + 1, || None);
+            }
+            debug_assert!(self.routes[slot].is_none(), "op slot {slot} routed twice");
+            self.routes[slot] = Some(RouteInfo {
+                client: r.client,
+                request_id: r.request_id,
+                op_seq: r.op_seq,
+                last_of_request: r.last_of_request,
+                is_kernel: r.is_kernel,
+                deadline,
+            });
+            self.inflight[r.client] += 1;
             if let Some(s) = self.supervisor.as_mut() {
                 s.last_progress[r.client] = now;
             }
         }
     }
 
+    /// Ensures a `GpuWake` is pending at the device's next event time.
+    ///
+    /// Every handler drains the device before anything else, so results
+    /// depend only on *whether* some event exists at each device event
+    /// time: when the valid pending wake is already at that time, a second
+    /// one would be a stale no-op and is not scheduled.
     fn arm_wake(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         if let Some(t) = self.gpu.next_event_time() {
+            let at = t.max(now);
+            if self.wake_at == Some(at) {
+                return;
+            }
             self.wake_token += 1;
+            self.wake_at = Some(at);
             let token = self.wake_token;
-            sched.schedule_at(t.max(now), Ev::GpuWake { token });
+            sched.schedule_at(at, Ev::GpuWake { token });
         }
     }
 
@@ -349,16 +383,18 @@ impl CollocationWorld {
             self.completion_buf = completions;
             return;
         }
-        let mut routed = Vec::with_capacity(completions.len());
+        let mut routed = std::mem::take(&mut self.routed);
+        routed.clear();
         // Faulted/aborted ops, grouped per client in op_seq order for
         // deterministic resubmission.
         let mut failed: BTreeMap<usize, Vec<(u64, u32)>> = BTreeMap::new();
         // The client whose kernel raised a sticky fault this round.
         let mut culprit: Option<usize> = None;
         for c in &completions {
-            let Some(info) = self.routes.remove(&c.op.0) else {
+            let Some(info) = self.routes.get_mut(c.op.0 as usize).and_then(Option::take) else {
                 continue;
             };
+            self.inflight[info.client] -= 1;
             match c.status {
                 CompletionStatus::Ok => {
                     let client = &mut self.clients[info.client];
@@ -450,8 +486,9 @@ impl CollocationWorld {
                 policy.on_request_shed(client, request_id);
             }
         });
-        // Hand the drained buffer back for the next ping-pong cycle.
+        // Hand the drained buffers back for the next cycle.
         self.completion_buf = completions;
+        self.routed = routed;
     }
 
     /// Feeds one successful completion into the online profiler:
@@ -677,13 +714,14 @@ impl CollocationWorld {
     fn watchdog(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         // (a) Op deadline scan. One stalled op condemns the whole device —
         // the reset aborts everything, so handling the earliest (by
-        // deadline, then op id, for determinism across map iteration
-        // orders) is enough.
+        // deadline, then op id as the tie-break) is enough.
         let stalled = self
             .routes
             .iter()
+            .enumerate()
+            .filter_map(|(op, r)| r.as_ref().map(|info| (op, info)))
             .filter(|(_, info)| info.deadline <= now)
-            .map(|(&op, info)| (info.deadline, op, info.client))
+            .map(|(op, info)| (info.deadline, op, info.client))
             .min();
         if let Some((_, _, client)) = stalled {
             let sup = self.supervisor.as_mut().expect("watchdog implies supervisor");
@@ -702,10 +740,7 @@ impl CollocationWorld {
             let Some((request_id, _)) = c.current_progress() else {
                 continue;
             };
-            if c.can_push()
-                || c.queue_depth() > 0
-                || self.routes.values().any(|r| r.client == i)
-            {
+            if c.can_push() || c.queue_depth() > 0 || self.inflight[i] > 0 {
                 continue;
             }
             let sup = self.supervisor.as_ref().expect("supervisor");
@@ -813,6 +848,7 @@ impl World for CollocationWorld {
                 // Stale wake-ups (state changed since arming) are no-ops;
                 // drain_gpu above already advanced the device.
                 if token == self.wake_token {
+                    self.wake_at = None;
                     self.arm_wake(now, sched);
                 }
             }
@@ -956,10 +992,12 @@ pub fn run_collocation_with_profiles(
     });
     let world = CollocationWorld {
         gpu,
+        inflight: vec![0; states.len()],
         clients: states,
         policy: Some(boxed),
-        routes: HashMap::new(),
+        routes: Vec::new(),
         wake_token: 0,
+        wake_at: None,
         launch_cost,
         validator: cfg
             .validate
@@ -971,6 +1009,8 @@ pub fn run_collocation_with_profiles(
         pending_culprit: None,
         online,
         completion_buf: Vec::new(),
+        submissions: Vec::new(),
+        routed: Vec::new(),
     };
 
     let mut sim = Simulation::new(world);
@@ -1020,6 +1060,7 @@ pub fn run_collocation_with_profiles(
         .map(|c| c.profile_misses)
         .sum();
 
+    let sim_events = sim.events_processed();
     let world = sim.world();
     let window = cfg.horizon - cfg.warmup;
     let policy_name = kind.label();
@@ -1085,6 +1126,8 @@ pub fn run_collocation_with_profiles(
         ended_faulted: world.gpu.device_faulted(),
         online,
         learned,
+        sim_events,
+        ops_completed: world.gpu.completed_count(),
     })
 }
 
@@ -1340,6 +1383,27 @@ mod tests {
         // Post-drift ground truth at the horizon: learned profiles that
         // survived to the end must match the *drifted* durations.
         assert!(o.max_profile_error < 0.10, "stale profiles survived: {o:?}");
+    }
+
+    #[test]
+    fn orion_cell_costs_one_push_and_one_wake_per_op() {
+        // Each op costs one `Push` plus one `GpuWake`; duplicate wakes at a
+        // device time that already has a pending wake are never scheduled.
+        let cfg = RunConfig::quick_test();
+        let clients = vec![
+            ClientSpec::high_priority(
+                inference_workload(ModelKind::ResNet50),
+                ArrivalProcess::Poisson { rps: 15.0 },
+            ),
+            ClientSpec::best_effort(
+                training_workload(ModelKind::MobileNetV2),
+                ArrivalProcess::ClosedLoop,
+            ),
+        ];
+        let r = run_collocation(PolicyKind::orion_default(), clients, &cfg).unwrap();
+        assert!(r.ops_completed > 1000, "ops {}", r.ops_completed);
+        let per_op = r.sim_events as f64 / r.ops_completed as f64;
+        assert!(per_op <= 2.05, "{per_op:.3} events per completed op");
     }
 
     #[test]

@@ -585,6 +585,8 @@ pub struct GpuEngine {
     /// Times `drain_completions_into` had to grow the caller's buffer
     /// (debug counter: steady-state drains should never allocate).
     drain_reallocs: u64,
+    /// Completions recorded since engine creation, any status.
+    ops_completed: u64,
     /// Scratch: ids collected by `complete_finished` / `apply_sync_ops`.
     scratch_ids: Vec<u64>,
     /// Scratch: finished positions within `running_kernels`.
@@ -661,6 +663,7 @@ impl GpuEngine {
             stream_rank: Vec::new(),
             materializations: 0,
             drain_reallocs: 0,
+            ops_completed: 0,
             scratch_ids: Vec::new(),
             scratch_pos: Vec::new(),
             event_log: None,
@@ -1158,6 +1161,12 @@ impl GpuEngine {
     /// growing once both have seen the peak batch size.
     pub fn drain_realloc_count(&self) -> u64 {
         self.drain_reallocs
+    }
+
+    /// Operations completed since engine creation, of any status (ok,
+    /// faulted or aborted by a reset).
+    pub fn completed_count(&self) -> u64 {
+        self.ops_completed
     }
 
     /// Op ids of the currently running kernels, in running (dispatch)
@@ -1851,8 +1860,10 @@ impl GpuEngine {
             descs,
             free_descs,
             last_desc,
+            ops_completed,
             ..
         } = self;
+        *ops_completed += 1;
         let slot = &mut ops[op_id as usize];
         let op = slot.as_ref().expect("finishing op exists");
         let kind = op.kind;

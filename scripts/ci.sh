@@ -59,4 +59,14 @@ cargo run -q --release --example cluster_placement
 echo "==> bench smoke + perf gate (16-stream within 20% of 4-stream; 64-stream at least 45% of 16-stream)"
 ORION_FAST=1 ORION_BENCH_GATE=1 scripts/bench.sh
 
+echo "==> perfbench smoke (1 s per workload, seed 1: outputs correct, no failed operations)"
+for w in colloc fleet llm_serving; do
+    result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+    echo "$w: $result"
+    python3 -c 'import json, sys
+r = json.loads(sys.argv[1])
+sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
+        || { echo "perfbench $w: run not correct or operations failed" >&2; exit 1; }
+done
+
 echo "==> CI green"
