@@ -10,7 +10,8 @@
 //! * `batched` — continuous batching at the default `max_batch`, serving
 //!   alone. Shows the ≥2x tokens/sec gain at bounded per-token p99.
 //! * `orion` / `mps` / `temporal` — serving collocated with a best-effort
-//!   ResNet-50 training client under each gating policy. Orion holds the
+//!   ResNet-50 training client under each policy (the collocation world's
+//!   `PolicyKind`s; `orion` is `OrionConfig::serving()`). Orion holds the
 //!   per-token SLO while sustaining most of MPS's best-effort throughput;
 //!   MPS violates the SLO; temporal starves the trainer.
 //! * `constrained` — a device cut down to a sliver of KV headroom at a
@@ -94,11 +95,11 @@ pub fn cell_configs(cfg: &ExpConfig) -> Vec<(&'static str, ServingConfig)> {
         ),
         (
             "mps",
-            base.clone().with_policy(ServingPolicy::Mps).with_be(be_client()),
+            base.clone().with_policy(PolicyKind::Mps).with_be(be_client()),
         ),
         (
             "temporal",
-            base.with_policy(ServingPolicy::Temporal).with_be(be_client()),
+            base.with_policy(PolicyKind::Temporal).with_be(be_client()),
         ),
         ("constrained", constrained_config(cfg)),
     ]

@@ -8,10 +8,13 @@
 //! machine; the world (`crate::world`) drives it with events.
 
 use std::collections::VecDeque;
+use std::sync::Arc;
 
 use orion_desim::time::SimTime;
+use orion_gpu::engine::GpuEngine;
 use orion_gpu::kernel::ResourceProfile;
-use orion_profiler::ProfileTable;
+use orion_gpu::spec::GpuSpec;
+use orion_profiler::{kernel_profile, ProfileTable};
 use orion_workloads::arrivals::{ArrivalProcess, DriftSpec};
 use orion_workloads::model::{Phase, Workload};
 use orion_workloads::ops::OpSpec;
@@ -31,8 +34,9 @@ pub enum ClientPriority {
 /// Configuration of one client in a collocation run.
 #[derive(Debug, Clone)]
 pub struct ClientSpec {
-    /// The client's workload (one request/iteration op trace).
-    pub workload: Workload,
+    /// The client's workload (one request/iteration op trace). Shared: every
+    /// request of a fixed-workload client replays this one trace.
+    pub workload: Arc<Workload>,
     /// Request arrival process.
     pub arrivals: ArrivalProcess,
     /// Scheduling class.
@@ -54,7 +58,7 @@ impl ClientSpec {
     /// A high-priority client.
     pub fn high_priority(workload: Workload, arrivals: ArrivalProcess) -> Self {
         ClientSpec {
-            workload,
+            workload: Arc::new(workload),
             arrivals,
             priority: ClientPriority::HighPriority,
             fault: None,
@@ -66,7 +70,7 @@ impl ClientSpec {
     /// A best-effort client.
     pub fn best_effort(workload: Workload, arrivals: ArrivalProcess) -> Self {
         ClientSpec {
-            workload,
+            workload: Arc::new(workload),
             arrivals,
             priority: ClientPriority::BestEffort,
             fault: None,
@@ -94,6 +98,21 @@ impl ClientSpec {
         self.drift = Some(drift);
         self
     }
+}
+
+/// Generates a client's requests at run time instead of replaying one fixed
+/// workload: the serving batcher, whose every request is one prefill or one
+/// batched decode step. The world owns the event loop and calls the source
+/// at the client's request boundaries; the source never submits ops or
+/// schedules events, it only decides what the next request runs.
+pub trait RequestSource {
+    /// A request of the client's arrival process arrived at `now`.
+    fn on_arrival(&mut self, now: SimTime);
+
+    /// The client is idle at `now`: its previous request, if any, has just
+    /// completed. Returns the next request's op trace, or `None` to stay idle
+    /// until the next arrival. `gpu` gives access to the memory ledger.
+    fn next_request(&mut self, now: SimTime, gpu: &mut GpuEngine) -> Option<Arc<Workload>>;
 }
 
 /// An operation sitting in a client's software queue, annotated with the
@@ -137,10 +156,13 @@ impl QueuedOp {
     }
 }
 
-/// Progress of the in-flight request.
+/// Progress of the in-flight (or most recently finished) request.
 #[derive(Debug, Clone)]
 struct RequestProgress {
     request_id: u64,
+    /// The request's op trace: the client's fixed workload, or a step shape
+    /// from its request source.
+    workload: Arc<Workload>,
     /// Arrival time (queueing delay counts toward latency).
     arrived_at: SimTime,
     /// Next op index to push into the software queue.
@@ -156,6 +178,10 @@ pub struct ClientState {
     pub spec: ClientSpec,
     /// Offline profile of this client's workload.
     pub profile: ProfileTable,
+    /// Set for request-source clients: their step shapes reuse kernel ids
+    /// across shapes, so one table cannot key them, and each kernel is
+    /// profiled from its own descriptor for this device instead.
+    descriptor_device: Option<GpuSpec>,
     /// The software queue the scheduler drains.
     queue: VecDeque<QueuedOp>,
     /// Requests that arrived but have not started.
@@ -178,6 +204,7 @@ impl ClientState {
         ClientState {
             spec,
             profile,
+            descriptor_device: None,
             queue: VecDeque::new(),
             pending: VecDeque::new(),
             current: None,
@@ -187,6 +214,14 @@ impl ClientState {
             profile_misses: 0,
             halted: false,
         }
+    }
+
+    /// Profiles this client's kernels from their own descriptors for
+    /// `device` rather than from [`ClientState::profile`] (request-source
+    /// clients, builder style).
+    pub fn with_descriptor_profiles(mut self, device: GpuSpec) -> Self {
+        self.descriptor_device = Some(device);
+        self
     }
 
     /// Scheduling class shortcut.
@@ -235,16 +270,36 @@ impl ClientState {
         let Some(arrived_at) = self.pending.pop_front() else {
             return false;
         };
+        let workload = Arc::clone(&self.spec.workload);
+        self.start_request(arrived_at, workload)
+    }
+
+    /// Starts a request that runs `workload` (a request-source step);
+    /// returns `false` when one is already in flight.
+    pub fn start_request(&mut self, arrived_at: SimTime, workload: Arc<Workload>) -> bool {
+        if self.request_in_flight() {
+            return false;
+        }
         let id = self.next_request_id;
         self.next_request_id += 1;
         self.current = Some(RequestProgress {
             request_id: id,
+            workload,
             arrived_at,
             next_op: 0,
             done: false,
         });
         self.blocked_on = None;
         true
+    }
+
+    /// The op trace of request `request_id`: its own workload while it is
+    /// the current (or just-finished) request, else the fixed workload.
+    pub fn workload_of(&self, request_id: u64) -> &Workload {
+        match &self.current {
+            Some(r) if r.request_id == request_id => &r.workload,
+            _ => &self.spec.workload,
+        }
     }
 
     /// Whether the push cursor can emit another op right now.
@@ -254,7 +309,7 @@ impl ClientState {
         }
         match &self.current {
             Some(r) if !r.done => {
-                self.blocked_on.is_none() && (r.next_op as usize) < self.spec.workload.ops.len()
+                self.blocked_on.is_none() && (r.next_op as usize) < r.workload.ops.len()
             }
             _ => false,
         }
@@ -298,15 +353,20 @@ impl ClientState {
 
     /// Rebuilds the queued-op record for `(request_id, op_seq)` of the
     /// in-flight request, for resubmission after a reset. Deterministic: the
-    /// workload trace and profile table are immutable, so this reproduces
-    /// exactly what [`ClientState::push_next`] produced (without re-counting
-    /// profile misses).
+    /// request's trace and the profile table are immutable, so this
+    /// reproduces exactly what [`ClientState::push_next`] produced (without
+    /// re-counting profile misses).
     pub fn op_for(&self, request_id: u64, op_seq: u32) -> QueuedOp {
         let idx = op_seq as usize;
-        let (phase, spec) = &self.spec.workload.ops[idx];
+        let workload = self.workload_of(request_id);
+        let (phase, spec) = &workload.ops[idx];
         // One profile lookup per op; a miss leaves the kernel unprofiled.
-        let (profile, expected_dur, sm_needed, profiled) = match spec {
-            OpSpec::Kernel(k) => match self.profile.get(k.kernel_id) {
+        let (profile, expected_dur, sm_needed, profiled) = match (spec, &self.descriptor_device) {
+            (OpSpec::Kernel(k), Some(device)) => {
+                let p = kernel_profile(k, k.solo_duration, device);
+                (p.profile, p.duration, p.sm_needed, true)
+            }
+            (OpSpec::Kernel(k), None) => match self.profile.get(k.kernel_id) {
                 Some(p) => (p.profile, p.duration, p.sm_needed, true),
                 None => (ResourceProfile::Unknown, SimTime::ZERO, 0, false),
             },
@@ -317,7 +377,7 @@ impl ClientState {
             phase: *phase,
             request_id,
             op_seq,
-            last_of_request: idx + 1 == self.spec.workload.ops.len(),
+            last_of_request: idx + 1 == workload.ops.len(),
             profile,
             expected_dur,
             sm_needed,
@@ -368,7 +428,8 @@ impl ClientState {
             r.done = true;
             let latency = now - r.arrived_at;
             self.finished.push((now, latency));
-            self.current = None;
+            // The finished request stays `current` (marked done) so its
+            // trace stays readable until the next request starts.
             // Closed-loop clients queue the next request after their host
             // think time (zero for plain closed loops).
             if self.spec.arrivals.is_closed_loop() {
@@ -518,6 +579,45 @@ mod tests {
         assert_eq!(rebuilt.profiled, pushed.profiled);
         assert_eq!(rebuilt.last_of_request, pushed.last_of_request);
         assert_eq!(c.profile_misses, 0, "op_for never counts misses");
+
+        // A request-source client whose two requests carry different step
+        // shapes (sharing kernel ids) pushes each request's own ops, each
+        // profiled from its own descriptor.
+        use orion_workloads::models::llm::{llm_batched_decode_step, llm_prefill};
+        let gpu = GpuSpec::v100_16gb();
+        let mut c = ClientState::new(
+            ClientSpec::high_priority(llm_prefill(64), ArrivalProcess::ClosedLoop),
+            ProfileTable::default(),
+        )
+        .with_descriptor_profiles(gpu.clone());
+        let done = SimTime::from_millis(1);
+        for step in [llm_prefill(96), llm_batched_decode_step(3, 128)] {
+            let step = Arc::new(step);
+            assert!(c.start_request(done, Arc::clone(&step)));
+            let mut pushed = Vec::new();
+            while let Some(op) = c.push_next().cloned() {
+                c.blocked_on = None;
+                pushed.push(op);
+            }
+            assert_eq!(pushed.len(), step.ops.len(), "pushed the request's own ops");
+            for (op, (_, spec)) in pushed.iter().zip(&step.ops) {
+                let rebuilt = c.op_for(op.request_id, op.op_seq);
+                assert_eq!(rebuilt.expected_dur, op.expected_dur);
+                assert_eq!(rebuilt.last_of_request, op.last_of_request);
+                if let OpSpec::Kernel(k) = spec {
+                    let want = kernel_profile(k, k.solo_duration, &gpu);
+                    assert!(op.profiled);
+                    assert_eq!(op.expected_dur, want.duration);
+                    assert_eq!(op.profile, want.profile);
+                    assert_eq!(op.sm_needed, want.sm_needed);
+                }
+            }
+            let last = pushed.last().unwrap();
+            assert!(last.last_of_request);
+            c.on_op_complete(done, last.request_id, last.op_seq, true);
+        }
+        assert_eq!(c.completed(), 2);
+        assert_eq!(c.profile_misses, 0);
     }
 
     #[test]

@@ -12,6 +12,10 @@
 //!    profile is opposite to the running high-priority kernel's (kernels
 //!    with `Unknown` profiles are optimistically allowed, §5.2).
 //!
+//! [`OrionConfig::offpeak_duty`] narrows rule 2 for serving: only a true
+//! opposite overlaps freely, and every other best-effort kernel draws on a
+//! per-request slice of the high-priority request's predicted solo time.
+//!
 //! Memory operations are submitted directly (§5.1.3); their blocking and
 //! device-synchronization semantics are enforced by the client layer and
 //! the device engine respectively.
@@ -60,6 +64,14 @@ pub struct OrionConfig {
     /// the high-priority job collaterally — the effect our Figure 13
     /// reproduction exposes. Off by default (paper-faithful).
     pub gate_be_vs_be: bool,
+    /// Serving extension: the off-peak duty. When set, only a best-effort
+    /// kernel whose profile is the true opposite (compute vs memory) of the
+    /// running high-priority kernel overlaps it freely. Every other profiled
+    /// best-effort kernel, `Unknown` included, shares a slice worth this
+    /// fraction of the in-flight high-priority request's predicted solo
+    /// time, and the slice refills on each new high-priority request. `None`
+    /// (the default) is Listing 1 unchanged.
+    pub offpeak_duty: Option<f64>,
     /// Test-only fault injection: reintroduces the historical `hp_copies`
     /// increment/decrement asymmetry (count only *blocking* HP copies on
     /// submit, but decrement on *any* HP non-kernel completion). Kept so the
@@ -79,6 +91,7 @@ impl Default for OrionConfig {
             sm_threshold: None,
             pcie_aware_memcpy: false,
             gate_be_vs_be: false,
+            offpeak_duty: None,
             inject_hp_copy_drift: false,
         }
     }
@@ -90,6 +103,18 @@ impl OrionConfig {
         OrionConfig {
             use_sm_check: false,
             ..Default::default()
+        }
+    }
+
+    /// The serving preset: [`OrionConfig::profiles_only`] with a 0.35
+    /// off-peak duty. A saturated serving stream leaves no high-priority
+    /// idle gap, so under Listing 1 a trainer stalls on its first kernel
+    /// that shares the running step's profile (memory-bound during decode);
+    /// the slice lets such kernels overlap about a third of each step.
+    pub fn serving() -> Self {
+        OrionConfig {
+            offpeak_duty: Some(0.35),
+            ..Self::profiles_only()
         }
     }
 
@@ -156,6 +181,13 @@ pub struct Orion {
     hp_copies_legacy: usize,
     /// Round-robin cursor over best-effort clients.
     rr: usize,
+    /// The `(client, request)` whose off-peak slice is current
+    /// ([`OrionConfig::offpeak_duty`] only).
+    slice_owner: Option<(usize, u64)>,
+    /// Size of the current off-peak slice.
+    slice: SimTime,
+    /// Expected duration best-effort kernels drew from the current slice.
+    slice_spent: SimTime,
 }
 
 impl Orion {
@@ -176,6 +208,9 @@ impl Orion {
             hp_copy_ids: HashSet::new(),
             hp_copies_legacy: 0,
             rr: 0,
+            slice_owner: None,
+            slice: SimTime::ZERO,
+            slice_spent: SimTime::ZERO,
         }
     }
 
@@ -217,9 +252,25 @@ impl Orion {
             || hp.is_opposite(be)
     }
 
-    /// Listing 1 `schedule_be`, plus the optional BE-vs-BE extension gate
-    /// and the conservative unprofiled-kernel gate (DESIGN.md §11).
-    fn schedule_be(&self, be_profile: ResourceProfile, be_sm: u32, profiled: bool) -> bool {
+    /// True when a best-effort kernel of profile `be` admitted now draws on
+    /// the off-peak slice: the duty is set, high-priority kernels are
+    /// running, and `be` is not the true opposite of the running one.
+    fn draws_slice(&self, be: ResourceProfile) -> bool {
+        self.cfg.offpeak_duty.is_some()
+            && self.hp_active()
+            && !self.current_hp_profile().is_opposite(be)
+    }
+
+    /// Listing 1 `schedule_be`, plus the optional BE-vs-BE extension gate,
+    /// the off-peak slice and the conservative unprofiled-kernel gate
+    /// (DESIGN.md §11). `be_dur` is the kernel's profiled duration.
+    fn schedule_be(
+        &self,
+        be_profile: ResourceProfile,
+        be_sm: u32,
+        be_dur: SimTime,
+        profiled: bool,
+    ) -> bool {
         if !profiled {
             // The offline profile has no entry for this kernel, so its SM
             // demand and bottleneck are unknown (not merely "balanced").
@@ -242,7 +293,12 @@ impl Orion {
         }
         let sm_ok = !self.cfg.use_sm_check || be_sm < self.sm_threshold;
         let profile_ok = !self.cfg.use_profile_check
-            || Self::different_profiles(self.current_hp_profile(), be_profile);
+            || match self.cfg.offpeak_duty {
+                None => Self::different_profiles(self.current_hp_profile(), be_profile),
+                Some(_) => {
+                    !self.draws_slice(be_profile) || self.slice_spent + be_dur <= self.slice
+                }
+            };
         sm_ok && profile_ok
     }
 }
@@ -305,6 +361,17 @@ impl Policy for Orion {
                     let Some(routed) = ctx.submit_head(hc, hp_stream) else {
                         return; // device faulted: head requeued, retry next round
                     };
+                    if let Some(duty) = self.cfg.offpeak_duty {
+                        if self.slice_owner != Some((hc, routed.request_id)) {
+                            // A new HP request: refill the off-peak slice.
+                            self.slice_owner = Some((hc, routed.request_id));
+                            self.slice = ctx.clients[hc]
+                                .workload_of(routed.request_id)
+                                .solo_kernel_time()
+                                .mul_f64(duty);
+                            self.slice_spent = SimTime::ZERO;
+                        }
+                    }
                     if routed.is_kernel {
                         self.hp_outstanding.push((routed.op, routed.profile));
                     } else if blocking_copy {
@@ -355,14 +422,23 @@ impl Policy for Orion {
                 }
             }
 
-            let ok = self.schedule_be(head.profile, head.sm_needed, head.profiled);
+            let ok = self.schedule_be(
+                head.profile,
+                head.sm_needed,
+                head.expected_dur,
+                head.profiled,
+            );
             if !ok {
                 idle_rounds += 1;
                 continue;
             }
+            let draws_slice = self.draws_slice(head.profile);
             let Some(routed) = ctx.submit_head(bc, stream) else {
                 return; // device faulted: head requeued, retry next round
             };
+            if draws_slice {
+                self.slice_spent += routed.expected_dur;
+            }
             self.be_outstanding.push((routed.op, routed.profile));
             self.be_duration += routed.expected_dur;
             idle_rounds = 0;
@@ -572,16 +648,16 @@ mod tests {
         let mut o = Orion::new(OrionConfig::default());
         o.sm_threshold = 80;
         // No HP running: everything goes.
-        assert!(o.schedule_be(ResourceProfile::ComputeBound, 100, true));
+        assert!(o.schedule_be(ResourceProfile::ComputeBound, 100, SimTime::ZERO, true));
         // HP compute kernel running: only small, memory/unknown kernels.
         o.hp_outstanding.push((OpId(1), ResourceProfile::ComputeBound));
-        assert!(o.schedule_be(ResourceProfile::MemoryBound, 40, true));
-        assert!(!o.schedule_be(ResourceProfile::MemoryBound, 80, true), "sm gate");
+        assert!(o.schedule_be(ResourceProfile::MemoryBound, 40, SimTime::ZERO, true));
+        assert!(!o.schedule_be(ResourceProfile::MemoryBound, 80, SimTime::ZERO, true), "sm gate");
         assert!(
-            !o.schedule_be(ResourceProfile::ComputeBound, 40, true),
+            !o.schedule_be(ResourceProfile::ComputeBound, 40, SimTime::ZERO, true),
             "profile gate"
         );
-        assert!(o.schedule_be(ResourceProfile::Unknown, 40, true));
+        assert!(o.schedule_be(ResourceProfile::Unknown, 40, SimTime::ZERO, true));
     }
 
     #[test]
@@ -589,13 +665,13 @@ mod tests {
         let mut o = Orion::new(OrionConfig::default());
         o.sm_threshold = 80;
         // HP idle: unprofiled best-effort kernels may run solo.
-        assert!(o.schedule_be(ResourceProfile::Unknown, 0, false));
+        assert!(o.schedule_be(ResourceProfile::Unknown, 0, SimTime::ZERO, false));
         // HP active: a *profiled* Unknown-profile kernel is optimistically
         // allowed (§5.2), but an unprofiled one is conservatively blocked
         // even though it would pass every individual gate.
         o.hp_outstanding.push((OpId(1), ResourceProfile::ComputeBound));
-        assert!(o.schedule_be(ResourceProfile::Unknown, 0, true));
-        assert!(!o.schedule_be(ResourceProfile::Unknown, 0, false));
+        assert!(o.schedule_be(ResourceProfile::Unknown, 0, SimTime::ZERO, true));
+        assert!(!o.schedule_be(ResourceProfile::Unknown, 0, SimTime::ZERO, false));
         // Conservatism is unconditional: disabling both gates changes nothing.
         let mut o = Orion::new(OrionConfig {
             use_profile_check: false,
@@ -603,7 +679,35 @@ mod tests {
             ..OrionConfig::default()
         });
         o.hp_outstanding.push((OpId(1), ResourceProfile::ComputeBound));
-        assert!(!o.schedule_be(ResourceProfile::Unknown, 0, false));
+        assert!(!o.schedule_be(ResourceProfile::Unknown, 0, SimTime::ZERO, false));
+    }
+
+    #[test]
+    fn offpeak_slice_frees_only_true_opposites() {
+        use ResourceProfile::*;
+        let ms = SimTime::from_millis;
+        let mut o = Orion::new(OrionConfig::serving());
+        // No HP running: everything goes, nothing draws on the slice.
+        assert!(o.schedule_be(MemoryBound, 80, ms(5), true));
+        assert!(!o.draws_slice(MemoryBound));
+        // A memory-bound decode kernel runs with a 1 ms slice left.
+        o.hp_outstanding.push((OpId(1), MemoryBound));
+        o.slice = ms(1);
+        // The true opposite overlaps freely, however long.
+        assert!(!o.draws_slice(ComputeBound));
+        assert!(o.schedule_be(ComputeBound, 80, ms(5), true));
+        // Same-profile and Unknown kernels share the slice.
+        assert!(o.draws_slice(MemoryBound) && o.draws_slice(Unknown));
+        assert!(o.schedule_be(Unknown, 80, SimTime::from_micros(600), true));
+        o.slice_spent = SimTime::from_micros(500);
+        assert!(o.schedule_be(MemoryBound, 80, SimTime::from_micros(500), true));
+        assert!(!o.schedule_be(Unknown, 80, SimTime::from_micros(600), true));
+        // Without the duty, Listing 1 lets the Unknown kernel overlap.
+        let mut o = Orion::new(OrionConfig::profiles_only());
+        o.hp_outstanding.push((OpId(1), MemoryBound));
+        assert!(o.schedule_be(Unknown, 80, ms(5), true));
+        assert!(!o.schedule_be(MemoryBound, 80, ms(5), true));
+        assert_eq!(OrionConfig::default().offpeak_duty, None);
     }
 
     #[test]
@@ -616,14 +720,14 @@ mod tests {
         // A memory-bound BE kernel is outstanding; another memory-bound BE
         // kernel is blocked even with no HP activity.
         o.be_outstanding.push((OpId(7), ResourceProfile::MemoryBound));
-        assert!(!o.schedule_be(ResourceProfile::MemoryBound, 20, true));
-        assert!(o.schedule_be(ResourceProfile::ComputeBound, 20, true));
-        assert!(o.schedule_be(ResourceProfile::Unknown, 20, true));
+        assert!(!o.schedule_be(ResourceProfile::MemoryBound, 20, SimTime::ZERO, true));
+        assert!(o.schedule_be(ResourceProfile::ComputeBound, 20, SimTime::ZERO, true));
+        assert!(o.schedule_be(ResourceProfile::Unknown, 20, SimTime::ZERO, true));
         // Without the extension the stacking is allowed (paper-faithful).
         let mut o = Orion::new(OrionConfig::default());
         o.sm_threshold = 80;
         o.be_outstanding.push((OpId(7), ResourceProfile::MemoryBound));
-        assert!(o.schedule_be(ResourceProfile::MemoryBound, 20, true));
+        assert!(o.schedule_be(ResourceProfile::MemoryBound, 20, SimTime::ZERO, true));
     }
 
     #[test]
@@ -632,7 +736,7 @@ mod tests {
         o.sm_threshold = 10;
         o.hp_outstanding.push((OpId(1), ResourceProfile::ComputeBound));
         // SM check disabled: large opposite-profile kernels pass.
-        assert!(o.schedule_be(ResourceProfile::MemoryBound, 80, true));
+        assert!(o.schedule_be(ResourceProfile::MemoryBound, 80, SimTime::ZERO, true));
 
         let mut o = Orion::new(OrionConfig {
             use_profile_check: false,
@@ -641,7 +745,7 @@ mod tests {
         o.sm_threshold = 80;
         o.hp_outstanding.push((OpId(1), ResourceProfile::ComputeBound));
         // Profile check disabled: same-profile kernels pass if small.
-        assert!(o.schedule_be(ResourceProfile::ComputeBound, 40, true));
+        assert!(o.schedule_be(ResourceProfile::ComputeBound, 40, SimTime::ZERO, true));
     }
 
     #[test]

@@ -2,38 +2,24 @@
 //!
 //! The paper's §7 discussion flags LLM token generation as the ideal Orion
 //! collocation candidate: memory-bound decode underutilizes SMs. This module
-//! closes the gap between that observation and the grids by running an
-//! open-loop request stream through a real serving state machine:
+//! runs an open-loop request stream through a continuous batcher
+//! (Orca/vLLM-style): each request is **prefilled** once (`llm_prefill`,
+//! compute-bound) and then joins a **running decode batch** that produces
+//! one token per member per step (`llm_batched_decode_step`, memory-bound).
+//! Each request's **KV cache is a live allocation** in the device's memory
+//! ledger, grown one token per step and freed at completion or eviction, and
+//! an **SLO-aware admission controller** gates prefills on KV headroom and
+//! per-token deadline risk.
 //!
-//! - Each request is **prefilled** (one compute-bound, prompt-length-scaled
-//!   pass, `llm_prefill`) and then joins a **running decode batch**: every
-//!   decode step produces one token for every member
-//!   (`llm_batched_decode_step`), and requests join and leave the batch at
-//!   token boundaries — continuous batching in the Orca/vLLM sense.
-//! - Each request's **KV cache is a live allocation** in the gpu-sim
-//!   [`MemoryLedger`](orion_gpu::memory::MemoryLedger): allocated at
-//!   admission (prompt tokens), grown one token per decode step, freed at
-//!   completion or eviction. Memory pressure is therefore real: the ledger
-//!   refuses oversubscription and the serving loop must evict.
-//! - An **SLO-aware admission controller** gates new prefills on projected
-//!   KV headroom (watermark over the post-static budget) and per-token
-//!   deadline risk (predicted step time at `batch+1` against the per-token
-//!   SLO), sheds queue-stale and oversized requests, and evicts by priority
-//!   (batch-class before interactive, youngest first) when growth hits the
-//!   ledger wall.
-//! - A **serving-aware policy gate** ([`ServingPolicy`]) decides when a
-//!   collocated best-effort training client's ops reach the device:
-//!   `Temporal` waits for serving idleness, `Mps` submits eagerly, and
-//!   `Orion` admits complement-profile kernels under an outstanding-duration
-//!   budget while same-profile/unknown kernels get a small per-step duty
-//!   quota — the serving adaptation of the paper's Listing 1.
-//!
-//! The subsystem is opt-in: nothing here runs unless `run_serving` is
-//! called, so every existing grid and pinned digest is untouched.
+//! **One scheduler for every client.** The batcher is the request source of
+//! the high-priority client of a collocation world ([`crate::world`]): each
+//! prefill or decode step is one request of that client. A collocated
+//! best-effort trainer is an ordinary best-effort client, and any
+//! [`PolicyKind`] schedules both.
 
 mod admission;
+mod batcher;
 mod request;
-mod world;
 
 pub use admission::AdmissionConfig;
 pub use request::{generate_requests, RequestSpec};
@@ -43,8 +29,14 @@ use orion_gpu::error::GpuError;
 use orion_gpu::spec::GpuSpec;
 use orion_gpu::util::UtilSummary;
 use orion_metrics::LatencyRecorder;
+use orion_workloads::arrivals::ArrivalProcess;
+use orion_workloads::models::llm::{kv_cache_bytes, llm_decode_step, llm_weight_bytes};
 
 use crate::client::ClientSpec;
+use crate::policy::{OrionConfig, PolicyKind};
+use crate::validate::{ValidateMode, ValidationReport, Validator};
+use crate::world::{run_world, RunConfig};
+use batcher::Batcher;
 
 /// Latency objectives of the serving system.
 #[derive(Debug, Clone)]
@@ -68,50 +60,16 @@ impl SloConfig {
     }
 }
 
-/// How a collocated best-effort client's ops are gated against the serving
-/// stream (the serving analogue of the collocation `PolicyKind`).
-#[derive(Debug, Clone)]
-pub enum ServingPolicy {
-    /// Best-effort ops are submitted only while no serving step is in
-    /// flight (hard temporal sharing; at serving saturation BE starves).
-    Temporal,
-    /// Best-effort ops are submitted as soon as the client emits them
-    /// (spatial sharing with no interference awareness).
-    Mps,
-    /// Phase-aware Orion gate. During a decode step (memory-bound
-    /// bottleneck) compute-bound BE kernels are admitted while their
-    /// outstanding duration stays under `complement_budget`; during prefill
-    /// the complement is memory-bound. Same-profile and unknown kernels are
-    /// restricted to an `offpeak_duty` fraction of each step's predicted
-    /// duration, so the device's memory system is overcommitted only a
-    /// bounded slice of every step.
-    Orion {
-        /// Outstanding-duration cap for complement-profile BE kernels.
-        complement_budget: SimTime,
-        /// Fraction of each serving step usable by same-profile/unknown
-        /// BE kernels.
-        offpeak_duty: f64,
-    },
-}
+/// The name serving callers have always used for the serving Orion gate.
+/// Serving now takes any [`PolicyKind`]; this preset survives so code
+/// written against the removed serving-only gate enum (the benchmark
+/// harness among it) still reads `ServingPolicy::orion_default()`.
+pub struct ServingPolicy;
 
 impl ServingPolicy {
-    /// The default Orion serving gate, tuned so the default collocation
-    /// grid holds the per-token SLO with ~1.5 ms of p99 headroom while the
-    /// best-effort client keeps ≈75% of its ungated (MPS) throughput.
-    pub fn orion_default() -> Self {
-        ServingPolicy::Orion {
-            complement_budget: SimTime::from_millis(10),
-            offpeak_duty: 0.35,
-        }
-    }
-
-    /// Short label for tables and JSONL.
-    pub fn label(&self) -> &'static str {
-        match self {
-            ServingPolicy::Temporal => "temporal",
-            ServingPolicy::Mps => "mps",
-            ServingPolicy::Orion { .. } => "orion",
-        }
+    /// Orion with the serving off-peak slice, [`OrionConfig::serving`].
+    pub fn orion_default() -> PolicyKind {
+        PolicyKind::Orion(OrionConfig::serving())
     }
 }
 
@@ -141,15 +99,20 @@ pub struct ServingConfig {
     pub slo: SloConfig,
     /// Admission/eviction tuning.
     pub admission: AdmissionConfig,
-    /// Best-effort gating policy.
-    pub policy: ServingPolicy,
+    /// The policy scheduling the serving client and the best-effort one.
+    pub policy: PolicyKind,
     /// Collocated best-effort training client, if any.
     pub be: Option<ClientSpec>,
+    /// Policy-state oracle mode, passed to the collocation world. When
+    /// enabled, the batcher also checks its own invariants at every step
+    /// boundary (KV ledger, queue/batch disjointness, one token per decode
+    /// step).
+    pub validate: ValidateMode,
 }
 
 impl ServingConfig {
     /// Baseline serving configuration on a V100: 12 s horizon, 2 s warmup,
-    /// interactive SLOs, no collocation.
+    /// interactive SLOs, no collocation, oracle off.
     pub fn paper_default() -> Self {
         ServingConfig {
             spec: GpuSpec::v100_16gb(),
@@ -165,6 +128,7 @@ impl ServingConfig {
             admission: AdmissionConfig::default(),
             policy: ServingPolicy::orion_default(),
             be: None,
+            validate: ValidateMode::Off,
         }
     }
 
@@ -173,7 +137,7 @@ impl ServingConfig {
     /// all fire within the window. The batch cap is one notch tighter than
     /// the full config because shorter contexts shrink the serial baseline's
     /// step time, which would otherwise let the batched-vs-serial per-token
-    /// ratio creep past the documented 1.5x bound.
+    /// ratio creep past the documented 1.5x bound. The oracle runs strict.
     pub fn quick_test() -> Self {
         ServingConfig {
             horizon: SimTime::from_secs(4),
@@ -182,6 +146,7 @@ impl ServingConfig {
             prompt_tokens: (48, 192),
             output_tokens: (24, 96),
             max_batch: 6,
+            validate: ValidateMode::Strict,
             ..Self::paper_default()
         }
     }
@@ -192,8 +157,8 @@ impl ServingConfig {
         self
     }
 
-    /// Replaces the gating policy.
-    pub fn with_policy(mut self, policy: ServingPolicy) -> Self {
+    /// Replaces the scheduling policy.
+    pub fn with_policy(mut self, policy: PolicyKind) -> Self {
         self.policy = policy;
         self
     }
@@ -224,10 +189,19 @@ impl ServingConfig {
             return Err(ServingError::InvalidConfig("interactive_fraction outside [0, 1]"));
         }
         self.admission.validate()?;
-        if let ServingPolicy::Orion { offpeak_duty, .. } = self.policy {
-            if !(0.0..=1.0).contains(&offpeak_duty) {
+        if let PolicyKind::Orion(OrionConfig {
+            offpeak_duty: Some(duty),
+            ..
+        }) = self.policy
+        {
+            if !(0.0..=1.0).contains(&duty) {
                 return Err(ServingError::InvalidConfig("offpeak_duty outside [0, 1]"));
             }
+        }
+        if self.be.as_ref().is_some_and(|be| !be.arrivals.is_closed_loop()) {
+            return Err(ServingError::InvalidConfig(
+                "best-effort client must be closed-loop",
+            ));
         }
         Ok(())
     }
@@ -286,9 +260,9 @@ impl From<GpuError> for ServingError {
 }
 
 /// Outcome of a serving run. Latency statistics exclude the warmup window.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct ServingReport {
-    /// Gating policy label.
+    /// Policy label.
     pub policy: &'static str,
     /// Requests that arrived within the horizon.
     pub arrived: u64,
@@ -357,6 +331,10 @@ pub struct ServingReport {
     pub utilization: UtilSummary,
     /// Measurement window length.
     pub window: SimTime,
+    /// Oracle report (when [`ServingConfig::validate`] enabled it): the
+    /// collocation world's policy checks plus the batcher's step-boundary
+    /// checks.
+    pub validation: Option<ValidationReport>,
 }
 
 /// Runs one serving experiment.
@@ -370,7 +348,70 @@ pub struct ServingReport {
 /// device-simulation failures.
 pub fn run_serving(cfg: &ServingConfig) -> Result<ServingReport, ServingError> {
     cfg.validate()?;
-    world::run(cfg)
+    let capacity = cfg.spec.memory_capacity;
+    let static_bytes =
+        llm_weight_bytes() + cfg.be.as_ref().map_or(0, |be| be.workload.memory_footprint);
+    if static_bytes > capacity {
+        return Err(ServingError::ModelDoesNotFit {
+            needed: static_bytes,
+            capacity,
+        });
+    }
+    // The KV budget is whatever the static allocations leave behind.
+    let min_needed = kv_cache_bytes(cfg.prompt_tokens.0 + 1);
+    if min_needed > capacity - static_bytes {
+        return Err(ServingError::KvExhausted {
+            needed: min_needed,
+            available: capacity - static_bytes,
+        });
+    }
+    let specs = generate_requests(cfg);
+    let mut batcher = Batcher::new(cfg, &specs, static_bytes);
+    let arrivals = ArrivalProcess::Trace(specs.iter().map(|s| s.arrival).collect());
+    let hp = ClientSpec::high_priority(nominal_step(), arrivals);
+    let clients: Vec<ClientSpec> = std::iter::once(hp).chain(cfg.be.clone()).collect();
+    let rc = RunConfig {
+        spec: cfg.spec.clone(),
+        horizon: cfg.horizon,
+        warmup: cfg.warmup,
+        seed: cfg.seed,
+        validate: cfg.validate,
+        ..RunConfig::paper_default()
+    };
+    let profiles = vec![None; clients.len()];
+    let run = run_world(cfg.policy.clone(), clients, profiles, &rc, Some(&mut batcher))?;
+    if let Some(e) = batcher.fatal.take() {
+        return Err(e.into());
+    }
+    let window = cfg.horizon - cfg.warmup;
+    let window_secs = window.as_secs_f64();
+    let mut r = std::mem::take(&mut batcher.report);
+    r.policy = cfg.policy.label();
+    if r.decode_steps > 0 {
+        r.mean_batch = batcher.batch_sum as f64 / r.decode_steps as f64;
+    }
+    r.tokens_per_sec = r.tokens_generated as f64 / window_secs;
+    r.be_completed = run.clients.get(1).map_or(0, |c| c.completed);
+    r.be_tput = r.be_completed as f64 / window_secs;
+    r.utilization = run.utilization;
+    r.window = window;
+    r.validation = run.validation.map(|mut v| {
+        let own = batcher.oracle.take().map(Validator::into_report);
+        v.violations.extend(own.into_iter().flat_map(|o| o.violations));
+        v
+    });
+    Ok(r)
+}
+
+/// The serving client's nominal request: the model's batch-1 decode step,
+/// charged the weights only (KV lives in per-request ledger allocations).
+/// Its offline profile is the high-priority solo request latency that
+/// Orion's `DUR_THRESHOLD` derives from; the batcher decides what each
+/// actual request runs.
+fn nominal_step() -> orion_workloads::Workload {
+    let mut w = llm_decode_step();
+    w.memory_footprint = llm_weight_bytes();
+    w
 }
 
 // The bench runner fans serving cells across threads.
@@ -446,6 +487,43 @@ mod tests {
             }
             other => panic!("expected KvExhausted, got {other:?}"),
         }
+    }
+
+    #[test]
+    fn serving_alone_is_deterministic_and_oracle_clean() {
+        // Batching, bookkeeping and KV-pressure assertions on this config and
+        // on its constrained variant are the `batched` and `constrained`
+        // cells of the bench crate's `smoke_llm_serving`.
+        let cfg = ServingConfig::quick_test();
+        let mut r = run_serving(&cfg).expect("serving run");
+        assert_eq!(r.arrived as usize, generate_requests(&cfg).len());
+        let v = r.validation.take().expect("quick_test arms the oracle");
+        assert!(v.is_clean() && v.rounds > 0, "{v:?}");
+        let again = run_serving(&cfg).expect("second run");
+        assert_eq!(r.per_token.samples(), again.per_token.samples());
+        assert_eq!(r.ttft.samples(), again.ttft.samples());
+        assert_eq!(r.evictions, again.evictions);
+    }
+
+    #[test]
+    fn trainer_share_by_policy() {
+        // Temporal starves the trainer; Listing 1 as published (SM check
+        // on) blocks nearly every trainer kernel beside a serving step; the
+        // off-peak slice of the serving preset is what lets it share them.
+        use orion_workloads::{registry::training_workload, ModelKind};
+        let be = ClientSpec::best_effort(
+            training_workload(ModelKind::ResNet50),
+            ArrivalProcess::ClosedLoop,
+        );
+        let base = ServingConfig::quick_test().with_be(be);
+        let be_done = |p: PolicyKind| {
+            run_serving(&base.clone().with_policy(p)).expect("serving run").be_completed
+        };
+        let sliced = be_done(ServingPolicy::orion_default());
+        let plain = be_done(PolicyKind::orion_default());
+        let temporal = be_done(PolicyKind::Temporal);
+        assert!(temporal <= sliced, "temporal BE {temporal} > orion BE {sliced}");
+        assert!(2 * plain < sliced, "plain Orion BE {plain} vs sliced {sliced}");
     }
 
     #[test]

@@ -732,7 +732,14 @@ impl Validator {
         join(items.into_iter())
     }
 
-    fn violation(&mut self, at: SimTime, policy: &'static str, invariant: &'static str, detail: String) {
+    /// Records one violation; in strict mode, panics with it instead.
+    pub(crate) fn violation(
+        &mut self,
+        at: SimTime,
+        policy: &'static str,
+        invariant: &'static str,
+        detail: String,
+    ) {
         let v = Violation {
             at,
             policy,

@@ -9,12 +9,11 @@ use orion_gpu::error::GpuError;
 use orion_gpu::fault::FaultPlan;
 use orion_gpu::spec::GpuSpec;
 use orion_gpu::util::UtilSummary;
-use orion_gpu::kernel::classify_utilization;
 use orion_metrics::{LatencyRecorder, ThroughputCounter};
-use orion_profiler::{profile_workload, KernelProfile};
+use orion_profiler::{kernel_profile, profile_workload, KernelProfile};
 use orion_workloads::OpSpec;
 
-use crate::client::{ClientPriority, ClientSpec, ClientState};
+use crate::client::{ClientPriority, ClientSpec, ClientState, RequestSource};
 use crate::online::{OnlineConfig, OnlineReport, OnlineState, ProfileAction};
 use crate::policy::{Policy, PolicyKind, Routed, RoutedCompletion, SchedCtx};
 use crate::supervisor::{ClientFaultKind, FaultConfig, RobustnessReport, Supervisor};
@@ -224,9 +223,11 @@ struct RouteInfo {
     deadline: SimTime,
 }
 
-struct CollocationWorld {
+struct CollocationWorld<'s> {
     gpu: GpuEngine,
     clients: Vec<ClientState>,
+    /// Generates client 0's requests when set (see [`RequestSource`]).
+    source: Option<&'s mut dyn RequestSource>,
     policy: Option<Box<dyn Policy>>,
     /// Routing slab indexed by engine op id. The engine recycles an op's
     /// slot only after its completion is drained, and the world removes the
@@ -267,7 +268,7 @@ struct CollocationWorld {
     routed: Vec<RoutedCompletion>,
 }
 
-impl CollocationWorld {
+impl CollocationWorld<'_> {
     fn run_policy(&mut self, now: SimTime, sched: &mut Scheduler<Ev>) {
         self.run_policy_with(now, sched, |_, _| {});
     }
@@ -506,9 +507,9 @@ impl CollocationWorld {
         // its solo rate.
         let mut action = None;
         if info.is_kernel {
-            let spec = &self.clients[info.client].spec;
+            let workload = self.clients[info.client].workload_of(info.request_id);
             if let (OpSpec::Kernel(k), Some(dispatched)) =
-                (&spec.workload.ops[info.op_seq as usize].1, c.dispatched_at)
+                (&workload.ops[info.op_seq as usize].1, c.dispatched_at)
             {
                 action = online
                     .observe_kernel(
@@ -545,17 +546,11 @@ impl CollocationWorld {
                             online.cfg().admit_tolerance,
                         );
                     }
-                    let profile = classify_utilization(k.compute_util, k.mem_util);
-                    let sm_needed = k.sm_needed(self.gpu.spec());
+                    let learned = kernel_profile(&k, mean, self.gpu.spec());
                     for id in kernel_ids {
                         self.clients[info.client].profile.insert(KernelProfile {
                             kernel_id: id,
-                            name: std::sync::Arc::clone(&k.name),
-                            duration: mean,
-                            profile,
-                            sm_needed,
-                            compute_util: k.compute_util,
-                            mem_util: k.mem_util,
+                            ..learned.clone()
                         });
                     }
                 }
@@ -579,6 +574,15 @@ impl CollocationWorld {
     fn restart_next_request(&mut self, now: SimTime, client: usize, sched: &mut Scheduler<Ev>) {
         if let Some(s) = &self.supervisor {
             if s.dead[client] || s.is_suspended(client) {
+                return;
+            }
+        }
+        if client == 0 {
+            if let Some(source) = self.source.as_deref_mut() {
+                if let Some(workload) = source.next_request(now, &mut self.gpu) {
+                    self.clients[0].start_request(now, workload);
+                    sched.schedule_at(now, Ev::Push { client });
+                }
                 return;
             }
         }
@@ -801,7 +805,7 @@ impl CollocationWorld {
     }
 }
 
-impl World for CollocationWorld {
+impl World for CollocationWorld<'_> {
     type Event = Ev;
 
     fn handle(&mut self, now: SimTime, ev: Ev, sched: &mut Scheduler<Ev>) {
@@ -819,6 +823,15 @@ impl World for CollocationWorld {
                     // A crashed client's remaining open-loop arrivals are
                     // abandoned.
                     return;
+                }
+                if client == 0 {
+                    if let Some(source) = self.source.as_deref_mut() {
+                        source.on_arrival(now);
+                        if !self.clients[0].request_in_flight() {
+                            self.restart_next_request(now, 0, sched);
+                        }
+                        return;
+                    }
                 }
                 let c = &mut self.clients[client];
                 c.on_arrival(now);
@@ -913,6 +926,21 @@ pub fn run_collocation_with_profiles(
     profiles: Vec<Option<orion_profiler::ProfileTable>>,
     cfg: &RunConfig,
 ) -> Result<RunResult, GpuError> {
+    run_world(policy, clients, profiles, cfg, None)
+}
+
+/// [`run_collocation_with_profiles`] with an optional [`RequestSource`]
+/// generating client 0's requests. Client 0's arrivals are still scheduled
+/// from its spec, but each one goes to the source, and the source decides
+/// what every request of client 0 runs. Its kernels are profiled from their
+/// own descriptors (step shapes share kernel ids, so no table can key them).
+pub(crate) fn run_world(
+    policy: PolicyKind,
+    clients: Vec<ClientSpec>,
+    profiles: Vec<Option<orion_profiler::ProfileTable>>,
+    cfg: &RunConfig,
+    source: Option<&mut dyn RequestSource>,
+) -> Result<RunResult, GpuError> {
     assert_eq!(
         profiles.len(),
         clients.len(),
@@ -941,14 +969,19 @@ pub fn run_collocation_with_profiles(
     // marked `unprofiled` skips the phase and gets an empty table, so every
     // kernel lookup misses and the scheduler degrades conservatively.
     let mut states = Vec::with_capacity(clients.len());
-    for (spec, pre) in clients.into_iter().zip(profiles) {
+    for (i, (spec, pre)) in clients.into_iter().zip(profiles).enumerate() {
         let profile = match pre {
             Some(table) => table,
             None if spec.unprofiled => orion_profiler::ProfileTable::default(),
             None => profile_workload(&spec.workload, &cfg.spec)?.table(),
         };
         gpu.alloc_immediate(spec.workload.memory_footprint)?;
-        states.push(ClientState::new(spec, profile));
+        let state = ClientState::new(spec, profile);
+        states.push(if i == 0 && source.is_some() {
+            state.with_descriptor_profiles(cfg.spec.clone())
+        } else {
+            state
+        });
     }
 
     let n_clients = states.len().max(1);
@@ -994,6 +1027,7 @@ pub fn run_collocation_with_profiles(
         gpu,
         inflight: vec![0; states.len()],
         clients: states,
+        source,
         policy: Some(boxed),
         routes: Vec::new(),
         wake_token: 0,

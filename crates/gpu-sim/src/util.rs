@@ -72,7 +72,7 @@ pub struct UtilAccumulator {
 }
 
 /// Averaged utilization summary (the rows of Table 1).
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct UtilSummary {
     /// Mean compute-throughput utilization.
     pub compute: f64,

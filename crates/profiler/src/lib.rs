@@ -19,4 +19,4 @@ pub mod profile;
 pub mod run;
 
 pub use profile::{KernelProfile, ProfileTable, WorkloadProfile};
-pub use run::{profile_workload, solo_run, SoloRunStats};
+pub use run::{kernel_profile, profile_workload, solo_run, SoloRunStats};

@@ -5,7 +5,7 @@ use std::collections::HashMap;
 use orion_desim::time::SimTime;
 use orion_gpu::engine::{GpuEngine, OpKind};
 use orion_gpu::error::GpuError;
-use orion_gpu::kernel::classify_utilization;
+use orion_gpu::kernel::{classify_utilization, KernelDesc};
 use orion_gpu::spec::GpuSpec;
 use orion_gpu::stream::StreamPriority;
 use orion_gpu::util::UtilSummary;
@@ -103,6 +103,23 @@ pub fn solo_run(
     })
 }
 
+/// The per-kernel profiling rule: `duration` as measured on a dedicated
+/// device, roofline classification of the descriptor's utilizations, and
+/// the occupancy calculation on `spec`. A kernel's measured solo duration
+/// equals its descriptor's `solo_duration`, so callers that profile a kernel
+/// without running it pass that.
+pub fn kernel_profile(k: &KernelDesc, duration: SimTime, spec: &GpuSpec) -> KernelProfile {
+    KernelProfile {
+        kernel_id: k.kernel_id,
+        name: k.name.clone(),
+        duration,
+        profile: classify_utilization(k.compute_util, k.mem_util),
+        sm_needed: k.sm_needed(spec),
+        compute_util: k.compute_util,
+        mem_util: k.mem_util,
+    }
+}
+
 /// Full offline profiling phase for one workload (paper §5.2): solo run +
 /// roofline classification + occupancy calculation.
 ///
@@ -112,18 +129,9 @@ pub fn profile_workload(workload: &Workload, spec: &GpuSpec) -> Result<WorkloadP
     let stats = solo_run(workload, spec, 10)?;
     let kernels = workload
         .kernels()
-        .map(|k| KernelProfile {
-            kernel_id: k.kernel_id,
-            name: k.name.clone(),
-            duration: stats
-                .kernel_durations
-                .get(&k.kernel_id)
-                .copied()
-                .unwrap_or(k.solo_duration),
-            profile: classify_utilization(k.compute_util, k.mem_util),
-            sm_needed: k.sm_needed(spec),
-            compute_util: k.compute_util,
-            mem_util: k.mem_util,
+        .map(|k| {
+            let measured = stats.kernel_durations.get(&k.kernel_id).copied();
+            kernel_profile(k, measured.unwrap_or(k.solo_duration), spec)
         })
         .collect();
     Ok(WorkloadProfile {

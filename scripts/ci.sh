@@ -69,4 +69,15 @@ sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
         || { echo "perfbench $w: run not correct or operations failed" >&2; exit 1; }
 done
 
+echo "==> perfbench held-out digests (seed 1000, 1 s: simulated outputs pinned exactly)"
+for pin in colloc=0xde9c776cf91ce25f fleet=0x4c3ef6d64cd334bf llm_serving=0xe12ed008aff72440; do
+    w=${pin%%=*}
+    want=${pin#*=}
+    # The line before the result JSON reads `digest <workload> seed <n> <hex> ...`.
+    got=$(python3 perfbench/run.py --workload "$w" --seed 1000 --seconds 1 --trace 0 \
+        | awk '$1 == "digest" { print $5 }')
+    echo "$w: $got"
+    [ "$got" = "$want" ] || { echo "perfbench $w seed 1000: digest $got, pinned $want" >&2; exit 1; }
+done
+
 echo "==> CI green"

@@ -181,6 +181,34 @@ fn stress_all_policies_run_clean_under_strict_oracle() {
 /// Tick-Tock drives two phase-structured training jobs; its per-client
 /// outstanding sets are checked against ground truth every round.
 #[test]
+fn serving_runs_clean_under_strict_oracle_for_every_policy() {
+    // The serving client is an ordinary high-priority client of the
+    // collocation world, so every policy schedules it beside a trainer; the
+    // batcher adds its own step-boundary invariants to the same oracle.
+    let be = ClientSpec::best_effort(
+        orion::workloads::registry::training_workload(ModelKind::ResNet50),
+        ArrivalProcess::ClosedLoop,
+    );
+    for kind in [
+        PolicyKind::Temporal,
+        PolicyKind::Streams,
+        PolicyKind::StreamPriority,
+        PolicyKind::Mps,
+        PolicyKind::reef_default(),
+        PolicyKind::TickTock,
+        PolicyKind::orion_default(),
+        PolicyKind::Orion(OrionConfig::serving()),
+    ] {
+        let label = kind.label();
+        let cfg = ServingConfig::quick_test().with_be(be.clone()).with_policy(kind);
+        let r = run_serving(&cfg).unwrap_or_else(|e| panic!("{label}: {e}"));
+        let report = r.validation.expect("quick_test arms the oracle");
+        assert!(report.is_clean(), "{label}: {:?}", report.violations);
+        assert!(report.rounds > 0 && r.completed > 0, "{label}: no serving work");
+    }
+}
+
+#[test]
 fn ticktock_barrier_bookkeeping_is_drift_free() {
     for seed in seeds() {
         let mut rng = DetRng::new(seed.wrapping_mul(31));
