@@ -14,7 +14,7 @@ use orion_desim::time::SimTime;
 use orion_gpu::engine::GpuEngine;
 use orion_gpu::kernel::ResourceProfile;
 use orion_gpu::spec::GpuSpec;
-use orion_profiler::{kernel_profile, ProfileTable};
+use orion_profiler::ProfileTable;
 use orion_workloads::arrivals::{ArrivalProcess, DriftSpec};
 use orion_workloads::model::{Phase, Workload};
 use orion_workloads::ops::OpSpec;
@@ -116,11 +116,10 @@ pub trait RequestSource {
 }
 
 /// An operation sitting in a client's software queue, annotated with the
-/// offline profile the scheduler consults (§5.2).
+/// offline profile the scheduler consults (§5.2). The op itself stays in its
+/// request's trace: [`ClientState::workload_of`]`(request_id).ops[op_seq]`.
 #[derive(Debug, Clone)]
 pub struct QueuedOp {
-    /// The operation.
-    pub spec: OpSpec,
     /// Training phase tag (used by Tick-Tock).
     pub phase: Phase,
     /// Request this op belongs to.
@@ -129,6 +128,10 @@ pub struct QueuedOp {
     pub op_seq: u32,
     /// True for the final op of the request.
     pub last_of_request: bool,
+    /// True for kernels (vs. memory operations).
+    pub is_kernel: bool,
+    /// True for copies with synchronous (client-blocking) semantics.
+    pub is_blocking: bool,
     /// Profiled resource class (kernels; `Unknown` for copies).
     pub profile: ResourceProfile,
     /// Profiled duration (kernels; zero for copies).
@@ -139,21 +142,6 @@ pub struct QueuedOp {
     /// must be scheduled conservatively (DESIGN.md §11). Always true for
     /// memory ops (they need no profile).
     pub profiled: bool,
-}
-
-impl QueuedOp {
-    /// True when this is a kernel (vs. a memory operation).
-    pub fn is_kernel(&self) -> bool {
-        matches!(self.spec, OpSpec::Kernel(_))
-    }
-
-    /// True when this op has synchronous (client-blocking) semantics.
-    pub fn is_blocking(&self) -> bool {
-        matches!(
-            self.spec,
-            OpSpec::H2D { blocking: true, .. } | OpSpec::D2H { blocking: true, .. }
-        )
-    }
 }
 
 /// Progress of the in-flight (or most recently finished) request.
@@ -360,11 +348,16 @@ impl ClientState {
         let idx = op_seq as usize;
         let workload = self.workload_of(request_id);
         let (phase, spec) = &workload.ops[idx];
+        let (is_kernel, is_blocking) = match spec {
+            OpSpec::Kernel(_) => (true, false),
+            OpSpec::H2D { blocking, .. } | OpSpec::D2H { blocking, .. } => (false, *blocking),
+        };
         // One profile lookup per op; a miss leaves the kernel unprofiled.
         let (profile, expected_dur, sm_needed, profiled) = match (spec, &self.descriptor_device) {
+            // What `kernel_profile(k, k.solo_duration, device)` reports,
+            // without building a whole profile (and cloning its name).
             (OpSpec::Kernel(k), Some(device)) => {
-                let p = kernel_profile(k, k.solo_duration, device);
-                (p.profile, p.duration, p.sm_needed, true)
+                (k.classify(), k.solo_duration, k.sm_needed(device), true)
             }
             (OpSpec::Kernel(k), None) => match self.profile.get(k.kernel_id) {
                 Some(p) => (p.profile, p.duration, p.sm_needed, true),
@@ -373,11 +366,12 @@ impl ClientState {
             _ => (ResourceProfile::Unknown, SimTime::ZERO, 0, true),
         };
         QueuedOp {
-            spec: spec.clone(),
             phase: *phase,
             request_id,
             op_seq,
             last_of_request: idx + 1 == workload.ops.len(),
+            is_kernel,
+            is_blocking,
             profile,
             expected_dur,
             sm_needed,
@@ -400,7 +394,7 @@ impl ClientState {
         if !op.profiled {
             self.profile_misses += 1;
         }
-        if op.is_blocking() {
+        if op.is_blocking {
             self.blocked_on = Some((request_id, op_seq));
         }
         self.queue.push_back(op);
@@ -450,7 +444,7 @@ impl ClientState {
 mod tests {
     use super::*;
     use orion_gpu::spec::GpuSpec;
-    use orion_profiler::profile_workload;
+    use orion_profiler::{kernel_profile, profile_workload};
     use orion_workloads::registry::inference_workload;
     use orion_workloads::ModelKind;
 
@@ -471,7 +465,7 @@ mod tests {
 
         // Push the whole request; the first op (blocking H2D) blocks.
         let op0 = c.push_next().cloned().unwrap();
-        assert!(op0.is_blocking());
+        assert!(op0.is_blocking);
         assert!(!c.can_push());
         assert!(c.push_next().is_none());
         // Completing the blocking op resumes pushing.
@@ -484,7 +478,7 @@ mod tests {
         let total = c.spec.workload.ops.len() as u32;
         let mut last = None;
         while let Some(op) = c.push_next().cloned() {
-            if op.is_blocking() {
+            if op.is_blocking {
                 c.on_op_complete(SimTime::from_millis(3), op.request_id, op.op_seq, false);
             }
             last = Some(op);
@@ -526,7 +520,7 @@ mod tests {
         c.push_next(); // H2D
         c.blocked_on = None;
         let op = c.push_next().cloned().unwrap(); // first kernel
-        assert!(op.is_kernel());
+        assert!(op.is_kernel);
         assert!(op.expected_dur > SimTime::ZERO);
         assert!(op.sm_needed > 0);
         assert_eq!(c.queue_depth(), 2);
@@ -631,7 +625,7 @@ mod tests {
         let mut kernels = 0u64;
         while let Some(op) = c.push_next().cloned() {
             c.blocked_on = None;
-            if op.is_kernel() {
+            if op.is_kernel {
                 assert!(!op.profiled);
                 assert_eq!(op.expected_dur, SimTime::ZERO);
                 kernels += 1;

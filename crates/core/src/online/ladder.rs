@@ -165,13 +165,27 @@ impl KernelTracker {
     }
 }
 
-/// One client's kernel trackers, keyed by interned name with first-seen
-/// iteration order (HashMap for lookup only — deterministic across runs).
+/// One client's kernel trackers, keyed by interned name, in first-seen
+/// order. Reports iterate `trackers`, never a hash map, so they are
+/// deterministic across runs.
+///
+/// Lookups go through a per-kernel-id cache first: a hit costs one name
+/// comparison, and the name is hashed only when the cache misses (first
+/// sight of the id, or an id last seen under another name, as serving step
+/// shapes reuse ids).
 #[derive(Debug, Default)]
 pub struct KernelStore {
     index: HashMap<Arc<str>, usize>,
     trackers: Vec<KernelTracker>,
+    /// Tracker index by kernel id (`u32::MAX` = none). Each cached tracker
+    /// already lists its id in `kernel_ids`. Ids beyond twice the tracker
+    /// count (plus slack) are not cached, so the cache never grows by a
+    /// stray large id.
+    by_id: Vec<u32>,
 }
+
+/// Ids the id cache may cover beyond twice the tracker count.
+const ID_CACHE_SLACK: usize = 64;
 
 impl KernelStore {
     /// An empty store.
@@ -182,6 +196,12 @@ impl KernelStore {
     /// The tracker for `name`, created in Observing on first sight.
     /// `kernel_id` is recorded as a publish/withdraw target for the name.
     pub fn tracker_mut(&mut self, name: &Arc<str>, kernel_id: u32) -> &mut KernelTracker {
+        let slot = kernel_id as usize;
+        if let Some(&i) = self.by_id.get(slot) {
+            if i != u32::MAX && self.trackers[i as usize].name == *name {
+                return &mut self.trackers[i as usize];
+            }
+        }
         let i = match self.index.get(name) {
             Some(&i) => i,
             None => {
@@ -191,6 +211,12 @@ impl KernelStore {
                 i
             }
         };
+        if slot < 2 * self.trackers.len() + ID_CACHE_SLACK {
+            if slot >= self.by_id.len() {
+                self.by_id.resize(slot + 1, u32::MAX);
+            }
+            self.by_id[slot] = i as u32;
+        }
         let t = &mut self.trackers[i];
         if !t.kernel_ids.contains(&kernel_id) {
             t.kernel_ids.push(kernel_id);
@@ -329,5 +355,59 @@ mod tests {
             }
         }
         assert_eq!(admitted, Some(LadderEvent::Admit { mean: new }));
+    }
+
+    /// The id cache must not change which tracker a lookup returns or the
+    /// ids it records: two ids under one name, one id under two names (as
+    /// serving step shapes reuse ids), and an uncached huge id all match a
+    /// name-keyed model.
+    #[test]
+    fn id_cache_matches_name_keyed_lookup_under_aliasing() {
+        use orion_desim::rng::DetRng;
+        let cfg = cfg();
+        let names: Vec<Arc<str>> = (0..6).map(|i| arc(&format!("k{i}"))).collect();
+        for seed in 0..30u64 {
+            let mut rng = DetRng::new(seed);
+            let mut store = KernelStore::new();
+            // Model: per name, in first-seen order, its ids and sample count.
+            let mut model: Vec<(Arc<str>, Vec<u32>, u64)> = Vec::new();
+            for _ in 0..2000 {
+                // A fresh `Arc` per lookup half the time: equal names
+                // that are not the same allocation must still hit.
+                let n = &names[rng.uniform_u64(names.len() as u64) as usize];
+                let name = if rng.uniform_u64(2) == 0 {
+                    Arc::clone(n)
+                } else {
+                    arc(n)
+                };
+                let id = match rng.uniform_u64(5) {
+                    4 => u32::MAX - rng.uniform_u64(2) as u32,
+                    _ => rng.uniform_u64(8) as u32,
+                };
+                let t = store.tracker_mut(&name, id);
+                t.observe_clean(SimTime::from_micros(100), &cfg);
+                let pos = match model.iter().position(|(m, _, _)| *m == name) {
+                    Some(p) => p,
+                    None => {
+                        model.push((Arc::clone(&name), Vec::new(), 0));
+                        model.len() - 1
+                    }
+                };
+                let entry = &mut model[pos];
+                if !entry.1.contains(&id) {
+                    entry.1.push(id);
+                }
+                entry.2 += 1;
+                assert_eq!(t.name, entry.0, "seed {seed}");
+                assert_eq!(t.kernel_ids, entry.1, "seed {seed}");
+            }
+            let got: Vec<(Arc<str>, Vec<u32>, u64)> = store
+                .trackers()
+                .iter()
+                .map(|t| (Arc::clone(&t.name), t.kernel_ids.clone(), t.clean_samples))
+                .collect();
+            assert_eq!(got, model, "seed {seed}");
+            assert!(store.by_id.len() <= 2 * names.len() + ID_CACHE_SLACK);
+        }
     }
 }

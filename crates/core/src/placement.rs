@@ -39,9 +39,9 @@ pub fn demand_vector(w: &Workload) -> (f64, f64) {
 /// measured behavior rather than the static workload description.
 ///
 /// Returns `None` when the table has no kernel entries (cold start), so the
-/// caller can fall back to [`demand_vector`]. Iterates kernels in id order:
-/// `ProfileTable` is hash-backed and its raw iteration order must never leak
-/// into placement decisions.
+/// caller can fall back to [`demand_vector`]. Iterates kernels in id order
+/// ([`ProfileTable::sorted_ids`]), so the floating-point sums are
+/// deterministic.
 pub fn demand_from_profiles(table: &ProfileTable) -> Option<(f64, f64)> {
     let ids = table.sorted_ids();
     if ids.is_empty() {

@@ -128,15 +128,15 @@ impl SchedCtx<'_> {
     /// rather than a runtime condition.
     pub fn submit_head(&mut self, client: usize, stream: StreamId) -> Option<Routed> {
         let op = self.clients[client].pop()?;
+        let c = &self.clients[client];
         // Workload drift: from the drift instant on, the client's kernels
         // take `factor ×` their nominal solo time. Applied here, at routing
         // time, so kernels already on the device keep their old duration and
         // the shift is sharp at the configured sim time.
-        let drift_scale = self.clients[client]
-            .spec
-            .drift
-            .map_or(1.0, |d| d.scale_at(self.now));
-        let submitted = match &op.spec {
+        let drift_scale = c.spec.drift.map_or(1.0, |d| d.scale_at(self.now));
+        // The queue holds ops of the in-flight request only, so the op is
+        // read in place from that request's trace.
+        let submitted = match &c.workload_of(op.request_id).ops[op.op_seq as usize].1 {
             OpSpec::Kernel(k) if drift_scale != 1.0 => {
                 // Drifted kernels get a private, rescaled description.
                 let mut k = (**k).clone();
@@ -145,20 +145,12 @@ impl SchedCtx<'_> {
             }
             // Un-drifted kernels go by reference to the shared prototype.
             OpSpec::Kernel(k) => self.gpu.submit_kernel(stream, k),
-            OpSpec::H2D { bytes, blocking } => self.gpu.submit(
-                stream,
-                OpKind::MemcpyH2D {
-                    bytes: *bytes,
-                    blocking: *blocking,
-                },
-            ),
-            OpSpec::D2H { bytes, blocking } => self.gpu.submit(
-                stream,
-                OpKind::MemcpyD2H {
-                    bytes: *bytes,
-                    blocking: *blocking,
-                },
-            ),
+            &OpSpec::H2D { bytes, blocking } => self
+                .gpu
+                .submit(stream, OpKind::MemcpyH2D { bytes, blocking }),
+            &OpSpec::D2H { bytes, blocking } => self
+                .gpu
+                .submit(stream, OpKind::MemcpyD2H { bytes, blocking }),
         };
         let op_id = match submitted {
             Ok(id) => id,
@@ -177,7 +169,7 @@ impl SchedCtx<'_> {
             request_id: op.request_id,
             op_seq: op.op_seq,
             last_of_request: op.last_of_request,
-            is_kernel: op.is_kernel(),
+            is_kernel: op.is_kernel,
             expected_dur: op.expected_dur,
             profile: op.profile,
             sm_needed: op.sm_needed,

@@ -27,7 +27,7 @@
 //! directly, which generalizes to multiple best-effort streams without a
 //! per-kernel event object.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::{HashMap, HashSet, VecDeque};
 
 use orion_desim::time::SimTime;
 use orion_gpu::engine::OpId;
@@ -72,11 +72,13 @@ pub struct OrionConfig {
     /// time, and the slice refills on each new high-priority request. `None`
     /// (the default) is Listing 1 unchanged.
     pub offpeak_duty: Option<f64>,
-    /// Test-only fault injection: reintroduces the historical `hp_copies`
+    /// Test fixture: reintroduces the historical `hp_copies`
     /// increment/decrement asymmetry (count only *blocking* HP copies on
-    /// submit, but decrement on *any* HP non-kernel completion). Kept so the
+    /// submit, but decrement on *any* HP non-kernel completion), so the
     /// validation oracle's stress harness can demonstrate that it catches
-    /// this bug class; never enable outside tests.
+    /// this bug class. Compiled only into test builds and under the
+    /// `test-fixtures` feature.
+    #[cfg(any(test, feature = "test-fixtures"))]
     #[doc(hidden)]
     pub inject_hp_copy_drift: bool,
 }
@@ -92,6 +94,7 @@ impl Default for OrionConfig {
             pcie_aware_memcpy: false,
             gate_be_vs_be: false,
             offpeak_duty: None,
+            #[cfg(any(test, feature = "test-fixtures"))]
             inject_hp_copy_drift: false,
         }
     }
@@ -160,14 +163,16 @@ pub struct Orion {
     /// forever.
     dur_thresholds: HashMap<usize, SimTime>,
     sm_threshold: u32,
-    /// Outstanding best-effort kernels with their profiles. A handful at a
-    /// time (the duration throttle bounds it), so a linear scan beats
-    /// hashing.
-    be_outstanding: Vec<(OpId, ResourceProfile)>,
+    /// Outstanding best-effort kernels with their profiles, oldest first.
+    /// Each best-effort stream completes in order, so a completing kernel is
+    /// its client's oldest entry, at or near the front.
+    be_outstanding: VecDeque<(OpId, ResourceProfile)>,
     /// Cumulative expected duration counter (`be_duration` in Listing 1).
     be_duration: SimTime,
-    /// Outstanding high-priority kernels with their profiles.
-    hp_outstanding: Vec<(OpId, ResourceProfile)>,
+    /// Outstanding high-priority kernels with their profiles, oldest first.
+    /// The high-priority stream completes in order, so completions leave
+    /// from the front.
+    hp_outstanding: VecDeque<(OpId, ResourceProfile)>,
     /// Outstanding high-priority blocking copies, by op id (PCIe extension).
     ///
     /// Tracking ids — not a bare counter — keeps the increment and decrement
@@ -176,8 +181,9 @@ pub struct Orion {
     /// non-kernel completion (async copies included), so an async HP copy
     /// completing while a blocking copy was still in flight zeroed the gate.
     hp_copy_ids: HashSet<OpId>,
-    /// The historical asymmetric counter, maintained (and consulted) only
-    /// under [`OrionConfig::inject_hp_copy_drift`].
+    /// The historical asymmetric counter, consulted only under
+    /// [`OrionConfig::inject_hp_copy_drift`].
+    #[cfg(any(test, feature = "test-fixtures"))]
     hp_copies_legacy: usize,
     /// Round-robin cursor over best-effort clients.
     rr: usize,
@@ -202,10 +208,11 @@ impl Orion {
             dur_threshold: SimTime::MAX,
             dur_thresholds: HashMap::new(),
             sm_threshold: u32::MAX,
-            be_outstanding: Vec::new(),
+            be_outstanding: VecDeque::new(),
             be_duration: SimTime::ZERO,
-            hp_outstanding: Vec::new(),
+            hp_outstanding: VecDeque::new(),
             hp_copy_ids: HashSet::new(),
+            #[cfg(any(test, feature = "test-fixtures"))]
             hp_copies_legacy: 0,
             rr: 0,
             slice_owner: None,
@@ -221,11 +228,11 @@ impl Orion {
 
     /// High-priority blocking copies the PCIe gate currently counts.
     fn hp_copies(&self) -> usize {
+        #[cfg(any(test, feature = "test-fixtures"))]
         if self.cfg.inject_hp_copy_drift {
-            self.hp_copies_legacy
-        } else {
-            self.hp_copy_ids.len()
+            return self.hp_copies_legacy;
         }
+        self.hp_copy_ids.len()
     }
 
     fn hp_active(&self) -> bool {
@@ -240,7 +247,7 @@ impl Orion {
     /// best-effort candidate would actually overlap).
     fn current_hp_profile(&self) -> ResourceProfile {
         self.hp_outstanding
-            .first()
+            .front()
             .map_or(ResourceProfile::Unknown, |(_, p)| *p)
     }
 
@@ -303,6 +310,19 @@ impl Orion {
     }
 }
 
+/// The oracle's drift-injection fixture ([`OrionConfig::inject_hp_copy_drift`]).
+#[cfg(any(test, feature = "test-fixtures"))]
+impl Orion {
+    /// The historical asymmetry: *any* HP non-kernel completion (async
+    /// copies included) decremented the gate counter, though only blocking
+    /// copies incremented it.
+    fn legacy_hp_copy_completed(&mut self, c: &RoutedCompletion) {
+        if !c.is_kernel && self.hp_clients.contains(&c.client) && self.hp_copies_legacy > 0 {
+            self.hp_copies_legacy -= 1;
+        }
+    }
+}
+
 impl Policy for Orion {
     fn name(&self) -> &'static str {
         "Orion"
@@ -357,7 +377,7 @@ impl Policy for Orion {
                 while ctx.clients[hc].peek().is_some() {
                     let blocking_copy = ctx.clients[hc]
                         .peek()
-                        .is_some_and(|o| o.is_blocking() && !o.is_kernel());
+                        .is_some_and(|o| o.is_blocking);
                     let Some(routed) = ctx.submit_head(hc, hp_stream) else {
                         return; // device faulted: head requeued, retry next round
                     };
@@ -373,10 +393,13 @@ impl Policy for Orion {
                         }
                     }
                     if routed.is_kernel {
-                        self.hp_outstanding.push((routed.op, routed.profile));
+                        self.hp_outstanding.push_back((routed.op, routed.profile));
                     } else if blocking_copy {
                         self.hp_copy_ids.insert(routed.op);
-                        self.hp_copies_legacy += 1;
+                        #[cfg(any(test, feature = "test-fixtures"))]
+                        {
+                            self.hp_copies_legacy += 1;
+                        }
                     }
                 }
             }
@@ -400,7 +423,7 @@ impl Policy for Orion {
                 continue;
             };
 
-            if !head.is_kernel() {
+            if !head.is_kernel {
                 // Memory operations are submitted directly (§5.1.3), unless
                 // the PCIe extension is on and HP copies are in flight.
                 if self.cfg.pcie_aware_memcpy && self.hp_copies() > 0 {
@@ -439,7 +462,7 @@ impl Policy for Orion {
             if draws_slice {
                 self.slice_spent += routed.expected_dur;
             }
-            self.be_outstanding.push((routed.op, routed.profile));
+            self.be_outstanding.push_back((routed.op, routed.profile));
             self.be_duration += routed.expected_dur;
             idle_rounds = 0;
         }
@@ -466,26 +489,29 @@ impl Policy for Orion {
             .unwrap_or(SimTime::MAX);
     }
 
-    fn on_completions(&mut self, completions: &[RoutedCompletion], ctx: &mut SchedCtx) {
+    fn on_completions(&mut self, completions: &[RoutedCompletion], _ctx: &mut SchedCtx) {
         for c in completions {
-            if let Some(pos) = self.be_outstanding.iter().position(|(op, _)| *op == c.op) {
-                self.be_outstanding.swap_remove(pos);
+            // Each op sits in at most the one set its kind and class file
+            // it under.
+            let outstanding = if !c.is_kernel {
+                if !self.hp_copy_ids.is_empty() {
+                    self.hp_copy_ids.remove(&c.op);
+                }
+                None
+            } else if matches!(self.be_streams.get(c.client), Some(Some(_))) {
+                Some(&mut self.be_outstanding)
+            } else {
+                Some(&mut self.hp_outstanding)
+            };
+            // A scan from the front: in-order streams put the op there
+            // unless a device reset aborted the stream.
+            if let Some(list) = outstanding {
+                if let Some(pos) = list.iter().position(|(op, _)| *op == c.op) {
+                    list.remove(pos);
+                }
             }
-            if !self.hp_copy_ids.is_empty() {
-                self.hp_copy_ids.remove(&c.op);
-            }
-            if let Some(pos) = self.hp_outstanding.iter().position(|(op, _)| *op == c.op) {
-                self.hp_outstanding.remove(pos);
-            } else if !c.is_kernel
-                && ctx.clients[c.client].priority() == ClientPriority::HighPriority
-                && self.hp_copies_legacy > 0
-            {
-                // The historical asymmetry: *any* HP non-kernel completion
-                // (async copies included) decremented the gate counter, even
-                // though only blocking copies incremented it. Maintained for
-                // the oracle's drift-injection fixture.
-                self.hp_copies_legacy -= 1;
-            }
+            #[cfg(any(test, feature = "test-fixtures"))]
+            self.legacy_hp_copy_completed(c);
         }
     }
 
@@ -650,7 +676,7 @@ mod tests {
         // No HP running: everything goes.
         assert!(o.schedule_be(ResourceProfile::ComputeBound, 100, SimTime::ZERO, true));
         // HP compute kernel running: only small, memory/unknown kernels.
-        o.hp_outstanding.push((OpId(1), ResourceProfile::ComputeBound));
+        o.hp_outstanding.push_back((OpId(1), ResourceProfile::ComputeBound));
         assert!(o.schedule_be(ResourceProfile::MemoryBound, 40, SimTime::ZERO, true));
         assert!(!o.schedule_be(ResourceProfile::MemoryBound, 80, SimTime::ZERO, true), "sm gate");
         assert!(
@@ -669,7 +695,7 @@ mod tests {
         // HP active: a *profiled* Unknown-profile kernel is optimistically
         // allowed (§5.2), but an unprofiled one is conservatively blocked
         // even though it would pass every individual gate.
-        o.hp_outstanding.push((OpId(1), ResourceProfile::ComputeBound));
+        o.hp_outstanding.push_back((OpId(1), ResourceProfile::ComputeBound));
         assert!(o.schedule_be(ResourceProfile::Unknown, 0, SimTime::ZERO, true));
         assert!(!o.schedule_be(ResourceProfile::Unknown, 0, SimTime::ZERO, false));
         // Conservatism is unconditional: disabling both gates changes nothing.
@@ -678,7 +704,7 @@ mod tests {
             use_sm_check: false,
             ..OrionConfig::default()
         });
-        o.hp_outstanding.push((OpId(1), ResourceProfile::ComputeBound));
+        o.hp_outstanding.push_back((OpId(1), ResourceProfile::ComputeBound));
         assert!(!o.schedule_be(ResourceProfile::Unknown, 0, SimTime::ZERO, false));
     }
 
@@ -691,7 +717,7 @@ mod tests {
         assert!(o.schedule_be(MemoryBound, 80, ms(5), true));
         assert!(!o.draws_slice(MemoryBound));
         // A memory-bound decode kernel runs with a 1 ms slice left.
-        o.hp_outstanding.push((OpId(1), MemoryBound));
+        o.hp_outstanding.push_back((OpId(1), MemoryBound));
         o.slice = ms(1);
         // The true opposite overlaps freely, however long.
         assert!(!o.draws_slice(ComputeBound));
@@ -704,7 +730,7 @@ mod tests {
         assert!(!o.schedule_be(Unknown, 80, SimTime::from_micros(600), true));
         // Without the duty, Listing 1 lets the Unknown kernel overlap.
         let mut o = Orion::new(OrionConfig::profiles_only());
-        o.hp_outstanding.push((OpId(1), MemoryBound));
+        o.hp_outstanding.push_back((OpId(1), MemoryBound));
         assert!(o.schedule_be(Unknown, 80, ms(5), true));
         assert!(!o.schedule_be(MemoryBound, 80, ms(5), true));
         assert_eq!(OrionConfig::default().offpeak_duty, None);
@@ -719,14 +745,14 @@ mod tests {
         o.sm_threshold = 80;
         // A memory-bound BE kernel is outstanding; another memory-bound BE
         // kernel is blocked even with no HP activity.
-        o.be_outstanding.push((OpId(7), ResourceProfile::MemoryBound));
+        o.be_outstanding.push_back((OpId(7), ResourceProfile::MemoryBound));
         assert!(!o.schedule_be(ResourceProfile::MemoryBound, 20, SimTime::ZERO, true));
         assert!(o.schedule_be(ResourceProfile::ComputeBound, 20, SimTime::ZERO, true));
         assert!(o.schedule_be(ResourceProfile::Unknown, 20, SimTime::ZERO, true));
         // Without the extension the stacking is allowed (paper-faithful).
         let mut o = Orion::new(OrionConfig::default());
         o.sm_threshold = 80;
-        o.be_outstanding.push((OpId(7), ResourceProfile::MemoryBound));
+        o.be_outstanding.push_back((OpId(7), ResourceProfile::MemoryBound));
         assert!(o.schedule_be(ResourceProfile::MemoryBound, 20, SimTime::ZERO, true));
     }
 
@@ -734,7 +760,7 @@ mod tests {
     fn ablation_configs_toggle_gates() {
         let mut o = Orion::new(OrionConfig::profiles_only());
         o.sm_threshold = 10;
-        o.hp_outstanding.push((OpId(1), ResourceProfile::ComputeBound));
+        o.hp_outstanding.push_back((OpId(1), ResourceProfile::ComputeBound));
         // SM check disabled: large opposite-profile kernels pass.
         assert!(o.schedule_be(ResourceProfile::MemoryBound, 80, SimTime::ZERO, true));
 
@@ -743,7 +769,7 @@ mod tests {
             ..OrionConfig::default()
         });
         o.sm_threshold = 80;
-        o.hp_outstanding.push((OpId(1), ResourceProfile::ComputeBound));
+        o.hp_outstanding.push_back((OpId(1), ResourceProfile::ComputeBound));
         // Profile check disabled: same-profile kernels pass if small.
         assert!(o.schedule_be(ResourceProfile::ComputeBound, 40, SimTime::ZERO, true));
     }

@@ -130,7 +130,7 @@ impl Policy for ReefN {
                 idle += 1;
                 continue;
             };
-            if head.is_kernel() {
+            if head.is_kernel {
                 // Kernel selection rule: fill only gaps the HP job leaves.
                 let ok = match self.hp_gap(ctx.now, num_sms) {
                     None => true,

@@ -65,7 +65,7 @@ impl TickTock {
             }
             let allowed = self.allowed(i);
             if let Some(head) = c.peek() {
-                if head.is_kernel() && allowed.contains(&head.phase) {
+                if head.is_kernel && allowed.contains(&head.phase) {
                     return false;
                 }
             } else if c.request_in_flight() {
@@ -105,7 +105,7 @@ impl Policy for TickTock {
                 let allowed = self.allowed(i);
                 while let Some(head) = ctx.clients[i].peek() {
                     // Memory ops pass through; kernels obey the window phase.
-                    if head.is_kernel() && !allowed.contains(&head.phase) {
+                    if head.is_kernel && !allowed.contains(&head.phase) {
                         break;
                     }
                     let Some(routed) = ctx.submit_head(i, stream) else {

@@ -1,6 +1,6 @@
 //! Profile data model: what the offline phase hands to the scheduler.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use std::io;
 use std::path::Path;
 use std::sync::Arc;
@@ -48,16 +48,20 @@ pub struct WorkloadProfile {
 }
 
 impl WorkloadProfile {
-    /// Builds the scheduler's in-memory lookup table.
+    /// Builds the scheduler's in-memory lookup table. A kernel id listed
+    /// twice keeps its last profile.
     pub fn table(&self) -> ProfileTable {
-        ProfileTable {
-            by_id: self
-                .kernels
-                .iter()
-                .map(|k| (k.kernel_id, k.clone()))
-                .collect(),
+        let mut t = ProfileTable {
             request_latency: self.request_latency,
+            ..ProfileTable::default()
+        };
+        // Ascending ids keep `0..n` dense whatever order the file lists.
+        let mut kernels: Vec<&KernelProfile> = self.kernels.iter().collect();
+        kernels.sort_by_key(|k| k.kernel_id);
+        for k in kernels {
+            t.insert(k.clone());
         }
+        t
     }
 
     /// Serializes the profile to a JSON file (the paper's profile-file
@@ -135,19 +139,38 @@ impl FromJson for WorkloadProfile {
 
 /// The scheduler-facing lookup table: kernel id -> profile.
 ///
+/// Workload builders number kernels `0..n`, so the table is a dense vector
+/// indexed by kernel id and a lookup is one bounds check. Ids too large for
+/// the dense part (more than about twice the number of profiled kernels,
+/// e.g. a hand-written profile file with sparse ids) fall back to an ordered
+/// map: such a table never allocates by its largest id, and every id still
+/// works.
+///
 /// `Default` yields an empty table: every lookup is a miss, so the scheduler
 /// falls back to its conservative unprofiled-kernel path (DESIGN.md §11).
 #[derive(Debug, Clone, Default)]
 pub struct ProfileTable {
-    by_id: HashMap<u32, KernelProfile>,
+    /// Profiles of ids `0..dense.len()`, indexed by id.
+    dense: Vec<Option<KernelProfile>>,
+    /// Profiles of ids `>= dense.len()`.
+    sparse: BTreeMap<u32, KernelProfile>,
+    /// Profiles held by either part.
+    len: usize,
     /// Solo request latency of the profiled workload.
     pub request_latency: SimTime,
 }
 
+/// Ids the dense part may grow to beyond twice the table's length.
+const DENSE_SLACK: usize = 64;
+
 impl ProfileTable {
     /// Looks up a kernel's profile.
     pub fn get(&self, kernel_id: u32) -> Option<&KernelProfile> {
-        self.by_id.get(&kernel_id)
+        match self.dense.get(kernel_id as usize) {
+            Some(slot) => slot.as_ref(),
+            None if self.sparse.is_empty() => None,
+            None => self.sparse.get(&kernel_id),
+        }
     }
 
     /// Inserts (or replaces) a kernel's profile. This is how the *online*
@@ -155,13 +178,37 @@ impl ProfileTable {
     /// runtime; offline tables are built in one shot by
     /// [`WorkloadProfile::table`].
     pub fn insert(&mut self, profile: KernelProfile) -> Option<KernelProfile> {
-        self.by_id.insert(profile.kernel_id, profile)
+        let id = profile.kernel_id as usize;
+        if id >= self.dense.len() && id < 2 * (self.len + 1) + DENSE_SLACK {
+            // Grow the dense part over `id`, taking in the sparse ids it
+            // now covers.
+            self.dense.resize(id + 1, None);
+            let rest = self.sparse.split_off(&(profile.kernel_id + 1));
+            for (i, p) in std::mem::replace(&mut self.sparse, rest) {
+                self.dense[i as usize] = Some(p);
+            }
+        }
+        let old = match self.dense.get_mut(id) {
+            Some(slot) => slot.replace(profile),
+            None => self.sparse.insert(profile.kernel_id, profile),
+        };
+        if old.is_none() {
+            self.len += 1;
+        }
+        old
     }
 
     /// Removes a kernel's profile (online drift demotion: the kernel goes
     /// back to the conservative unprofiled path until re-admitted).
     pub fn remove(&mut self, kernel_id: u32) -> Option<KernelProfile> {
-        self.by_id.remove(&kernel_id)
+        let old = match self.dense.get_mut(kernel_id as usize) {
+            Some(slot) => slot.take(),
+            None => self.sparse.remove(&kernel_id),
+        };
+        if old.is_some() {
+            self.len -= 1;
+        }
+        old
     }
 
     /// Expected duration of a kernel; zero when unprofiled.
@@ -182,32 +229,37 @@ impl ProfileTable {
 
     /// Number of profiled kernels.
     pub fn len(&self) -> usize {
-        self.by_id.len()
+        self.len
     }
 
     /// True when no kernels were profiled.
     pub fn is_empty(&self) -> bool {
-        self.by_id.is_empty()
+        self.len == 0
+    }
+
+    /// All profiles, in ascending kernel-id order.
+    fn iter(&self) -> impl Iterator<Item = &KernelProfile> {
+        self.dense.iter().flatten().chain(self.sparse.values())
     }
 
     /// The largest SM demand of any profiled kernel (used as the upper bound
     /// of the `SM_THRESHOLD` binary search, §5.1.1).
     pub fn max_sm_needed(&self) -> u32 {
-        self.by_id.values().map(|k| k.sm_needed).max().unwrap_or(0)
+        self.iter().map(|k| k.sm_needed).max().unwrap_or(0)
     }
 
-    /// Kernel ids present in the table, sorted ascending. The backing map is
-    /// hash-ordered; any caller folding over entries (e.g. placement demand
-    /// vectors) must iterate in this order so results are deterministic.
+    /// Kernel ids present in the table, in ascending order. Callers folding
+    /// over entries (e.g. placement demand vectors) iterate in this order,
+    /// so their results are deterministic.
     pub fn sorted_ids(&self) -> Vec<u32> {
-        let mut ids: Vec<u32> = self.by_id.keys().copied().collect();
-        ids.sort_unstable();
-        ids
+        self.iter().map(|k| k.kernel_id).collect()
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::HashMap;
+
     use super::*;
 
     fn sample_profile() -> WorkloadProfile {
@@ -270,6 +322,92 @@ mod tests {
         assert_eq!(back.kernels, p.kernels);
         assert_eq!(back.request_latency, p.request_latency);
         std::fs::remove_file(&path).ok();
+    }
+
+    fn kernel(id: u32, sm: u32) -> KernelProfile {
+        KernelProfile {
+            kernel_id: id,
+            name: format!("k{id}").into(),
+            duration: SimTime::from_nanos(u64::from(id) + 1),
+            profile: ResourceProfile::Unknown,
+            sm_needed: sm,
+            compute_util: 0.0,
+            mem_util: 0.0,
+        }
+    }
+
+    /// Seeded random inserts, replacements and removals over dense, sparse
+    /// and huge ids agree with a hash-map model on every accessor.
+    #[test]
+    fn table_matches_a_map_model() {
+        use orion_desim::rng::DetRng;
+        for seed in 0..50u64 {
+            let mut rng = DetRng::new(seed);
+            let mut t = ProfileTable::default();
+            let mut model: HashMap<u32, KernelProfile> = HashMap::new();
+            for step in 0..500 {
+                let id = match rng.uniform_u64(4) {
+                    0 | 1 => rng.uniform_u64(100) as u32,
+                    2 => rng.uniform_u64(5_000) as u32,
+                    _ => u32::MAX - rng.uniform_u64(3) as u32,
+                };
+                if rng.uniform_u64(4) == 0 {
+                    assert_eq!(t.remove(id), model.remove(&id), "seed {seed} step {step}");
+                } else {
+                    let k = kernel(id, rng.uniform_u64(80) as u32);
+                    assert_eq!(t.insert(k.clone()), model.insert(id, k));
+                }
+                assert_eq!(t.len(), model.len());
+                assert_eq!(t.is_empty(), model.is_empty());
+                assert_eq!(t.get(id), model.get(&id));
+            }
+            let mut ids: Vec<u32> = model.keys().copied().collect();
+            ids.sort_unstable();
+            assert_eq!(t.sorted_ids(), ids, "seed {seed}");
+            let max_sm = model.values().map(|k| k.sm_needed).max().unwrap_or(0);
+            assert_eq!(t.max_sm_needed(), max_sm);
+            for id in 0..6_000 {
+                assert_eq!(t.get(id), model.get(&id));
+            }
+            // The dense part stays proportional to the table, not its ids.
+            assert!(t.dense.len() <= 2 * 500 + DENSE_SLACK, "seed {seed}");
+        }
+    }
+
+    /// A profile file may list sparse or huge kernel ids in any order: the
+    /// table falls back to its ordered map for them (no error, no panic,
+    /// no allocation by the largest id).
+    #[test]
+    fn loaded_profile_with_sparse_and_huge_ids_falls_back() {
+        let mut p = sample_profile();
+        p.kernels = [u32::MAX, 7, 1_000_000_000, 0, 3]
+            .iter()
+            .map(|&id| kernel(id, id % 97))
+            .collect();
+        let path = std::env::temp_dir().join(format!("orion_sparse_{}.json", std::process::id()));
+        p.save(&path).unwrap();
+        let t = WorkloadProfile::load(&path).unwrap().table();
+        std::fs::remove_file(&path).ok();
+        assert_eq!(t.len(), 5);
+        assert_eq!(t.sorted_ids(), vec![0, 3, 7, 1_000_000_000, u32::MAX]);
+        assert_eq!(t.sm_needed(u32::MAX), u32::MAX % 97);
+        assert_eq!(
+            t.duration(1_000_000_000),
+            SimTime::from_nanos(1_000_000_001)
+        );
+        assert!(t.get(8).is_none() && t.get(u32::MAX - 1).is_none());
+        let max_sm = p.kernels.iter().map(|k| k.sm_needed).max();
+        assert_eq!(Some(t.max_sm_needed()), max_sm);
+        assert!(t.dense.len() <= 8, "dense part sized by the largest id");
+    }
+
+    #[test]
+    fn duplicate_ids_keep_the_last_profile() {
+        let mut p = sample_profile();
+        p.kernels = vec![kernel(1, 10), kernel(0, 5), kernel(1, 20)];
+        let t = p.table();
+        assert_eq!(t.len(), 2);
+        assert_eq!(t.sm_needed(1), 20);
     }
 
     #[test]

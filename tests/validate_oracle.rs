@@ -11,7 +11,8 @@
 //! The injection test flips `OrionConfig::inject_hp_copy_drift` to bring the
 //! historical `hp_copies` increment/decrement asymmetry back and asserts the
 //! oracle reproducibly reports it — demonstrating the bug class the oracle
-//! exists to catch.
+//! exists to catch. That field exists only under orion-core's
+//! `test-fixtures` feature, which this package enables for its tests.
 //!
 //! Set `ORION_FAST=1` to run the reduced three-seed sweep (CI smoke).
 
