@@ -11,7 +11,7 @@
 //! * `offline` — the paper's configuration: profiles from the §5.2
 //!   offline pass, online learning off. The reference for convergence.
 //! * `online` — cold start (`ClientSpec::unprofiled`) with
-//!   [`OnlineConfig::learning`]: the admission ladder must re-derive the
+//!   [`RunConfig::online`] set: the admission ladder must re-derive the
 //!   profiles before Orion's gates open up.
 //! * `never-profiled` — cold start with learning off: the conservative
 //!   fallback path forever (best-effort kernels run only when the
@@ -21,10 +21,10 @@
 //!   demote the stale profiles and re-converge.
 //!
 //! Post-convergence quality is read from the standard measurement window:
-//! the warmup already excludes the learning transient (admission needs
-//! `min_samples` clean completions per kernel — a handful of best-effort
-//! iterations — and the tuner `min_latency_samples` requests). Every cell
-//! goes through the shared deterministic [`Runner`], so the whole grid is
+//! the warmup already excludes the learning transient (admission needs five
+//! clean completions per kernel — a handful of best-effort iterations — and
+//! the tuner three requests). Every cell goes through the shared
+//! deterministic [`Runner`](crate::runner::Runner), so the whole grid is
 //! bit-identical at any thread count (online arm of the determinism test).
 
 use orion_core::prelude::*;
@@ -70,7 +70,8 @@ pub fn run(cfg: &ExpConfig) -> Vec<Cell> {
     );
     let be = be_training(ModelKind::MobileNetV2);
     let policy = PolicyKind::orion_default();
-    let learning = rc.clone().with_online(OnlineConfig::learning());
+    let mut learning = rc.clone();
+    learning.online = true;
 
     let modes: Vec<(&'static str, Vec<ClientSpec>, RunConfig)> = vec![
         ("offline", vec![hp.clone(), be.clone()], rc.clone()),

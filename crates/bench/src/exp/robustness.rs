@@ -7,7 +7,8 @@
 //! best-effort goodput, and the supervisor's recovery counters, showing how
 //! gracefully each policy degrades as the device gets less reliable.
 //!
-//! Every cell goes through the shared deterministic [`Runner`], so the whole
+//! Every cell goes through the shared deterministic
+//! [`Runner`](crate::runner::Runner), so the whole
 //! grid — including every injected fault — is bit-identical at any thread
 //! count.
 

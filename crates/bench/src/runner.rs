@@ -38,7 +38,8 @@ pub struct Scenario {
     pub label: String,
     /// Scheduling policy for this cell.
     pub policy: PolicyKind,
-    /// Clients to collocate (one entry = [`run_dedicated`] semantics is NOT
+    /// Clients to collocate (one entry =
+    /// [`run_dedicated`](orion_core::world::run_dedicated) semantics is NOT
     /// implied; a single client is simply a one-client collocation).
     pub clients: Vec<ClientSpec>,
     /// Run configuration; `rc.seed` is the *base* seed — the runner derives

@@ -111,7 +111,7 @@ fn online_grid() -> Vec<Scenario> {
         .into_iter()
         .map(|mut s| {
             s.clients = s.clients.into_iter().map(ClientSpec::unprofiled).collect();
-            s.rc = s.rc.with_online(OnlineConfig::learning());
+            s.rc.online = true;
             s
         })
         .collect()

@@ -37,12 +37,11 @@ use orion_workloads::registry::{inference_workload, training_workload};
 use orion_workloads::ModelKind;
 
 use crate::client::{ClientPriority, ClientSpec};
-use crate::online::OnlineConfig;
 use crate::placement::{
     demand_complementarity, demand_from_profiles, demand_vector, FleetPlacer, PackJob,
 };
 use crate::policy::PolicyKind;
-use crate::supervisor::{FaultConfig, RobustnessReport, SupervisorConfig};
+use crate::supervisor::{FaultConfig, RobustnessReport};
 use crate::world::{run_collocation_with_profiles, run_dedicated, RunConfig, RunResult};
 use orion_gpu::fault::{unit_roll, FaultRates};
 
@@ -155,24 +154,22 @@ pub struct FleetFaultPlan {
     pub dead_rate: f64,
     /// In-episode device-fault rates armed on transient-fated GPUs.
     pub episode_rates: FaultRates,
-    /// Supervisor tuning for chaos episodes (retry/backoff inside the
-    /// episode; see [`crate::supervisor`]).
-    pub supervisor: SupervisorConfig,
-    /// Evacuations a single job survives before the control plane sheds it
-    /// (the fleet-level retry budget).
-    pub max_evacuations: u32,
-    /// Cap on a flapping GPU's quarantine length, in epochs (the backoff
-    /// doubles per strike up to this).
-    pub quarantine_max_epochs: u64,
-    /// Clean episodes a reinstated GPU must serve on probation before its
-    /// strike count decays.
-    pub probation_epochs: u64,
 }
+
+/// Evacuations a single job survives before the control plane sheds it (the
+/// fleet-level retry budget).
+const MAX_EVACUATIONS: u32 = 4;
+/// Cap on a flapping GPU's quarantine length, in epochs (the backoff doubles
+/// per strike up to this).
+const QUARANTINE_MAX_EPOCHS: u64 = 4;
+/// Clean episodes a reinstated GPU must serve on probation before its strike
+/// count decays.
+const PROBATION_EPOCHS: u64 = 2;
 
 impl FleetFaultPlan {
     /// A plan with moderate chaos: ~2% of (gpu, epoch) cells transiently
     /// faulted, ~0.5% permanently dead, sticky kernel faults likely within
-    /// a faulted episode, and a 4-evacuation job budget.
+    /// a faulted episode.
     pub fn new(seed: u64) -> Self {
         FleetFaultPlan {
             seed,
@@ -182,10 +179,6 @@ impl FleetFaultPlan {
                 kernel_fault: 0.02,
                 ..FaultRates::default()
             },
-            supervisor: SupervisorConfig::default(),
-            max_evacuations: 4,
-            quarantine_max_epochs: 4,
-            probation_epochs: 2,
         }
     }
 
@@ -204,10 +197,7 @@ impl FleetFaultPlan {
 
     /// The [`FaultConfig`] armed on a transient-fated episode.
     pub fn episode_faults(&self) -> FaultConfig {
-        let mut fc = FaultConfig::none();
-        fc.rates = self.episode_rates;
-        fc.supervisor = self.supervisor.clone();
-        fc
+        FaultConfig::none().with_rates(self.episode_rates)
     }
 }
 
@@ -237,14 +227,6 @@ pub struct FleetTraceConfig {
     pub jobs: usize,
     /// Trace horizon: arrivals and departures land in `[0, horizon]`.
     pub horizon: SimTime,
-    /// Fraction of jobs that are high-priority inference services.
-    pub hp_fraction: f64,
-    /// Mean of the exponential job lifetime.
-    pub mean_lifetime: SimTime,
-    /// Lifetime floor (avoids zero-epoch jobs dominating the trace).
-    pub min_lifetime: SimTime,
-    /// Arrivals land uniformly in `[0, horizon * arrival_window]`.
-    pub arrival_window: f64,
     /// Trace seed (independent of the run seeds).
     pub seed: u64,
 }
@@ -258,14 +240,20 @@ impl FleetTraceConfig {
         FleetTraceConfig {
             jobs,
             horizon,
-            hp_fraction: 0.4,
-            mean_lifetime: horizon.mul_f64(1.0 / 3.0),
-            min_lifetime: horizon.mul_f64(0.125),
-            arrival_window: 0.6,
             seed: 42,
         }
     }
 }
+
+/// Fraction of synthesized jobs that are high-priority inference services.
+const HP_FRACTION: f64 = 0.4;
+/// Mean of the exponential job lifetime, as a fraction of the horizon.
+const MEAN_LIFETIME: f64 = 1.0 / 3.0;
+/// Lifetime floor as a fraction of the horizon (avoids zero-epoch jobs
+/// dominating the trace).
+const MIN_LIFETIME: f64 = 0.125;
+/// Arrivals land uniformly in `[0, horizon * ARRIVAL_WINDOW]`.
+const ARRIVAL_WINDOW: f64 = 0.6;
 
 /// High-priority service models sampled by the synthesizer.
 const HP_MODELS: [ModelKind; 4] = [
@@ -281,10 +269,12 @@ impl FleetTrace {
     /// function of the config — independent of thread count or wall clock.
     pub fn synthesize(cfg: &FleetTraceConfig) -> FleetTrace {
         let base = cell_seed(cfg.seed, FLEET_TRACE_TAG);
+        let mean = cfg.horizon.mul_f64(MEAN_LIFETIME).as_secs_f64().max(1e-9);
+        let min_life = cfg.horizon.mul_f64(MIN_LIFETIME);
         let jobs = (0..cfg.jobs)
             .map(|i| {
                 let mut rng = DetRng::new(cell_seed(base, i as u64));
-                let hp = rng.next_f64() < cfg.hp_fraction;
+                let hp = rng.next_f64() < HP_FRACTION;
                 let client = if hp {
                     let model = HP_MODELS[rng.uniform_u64(HP_MODELS.len() as u64) as usize];
                     ClientSpec::high_priority(
@@ -306,12 +296,8 @@ impl FleetTrace {
                         _ => ClientSpec::best_effort(llm_decode_step(), ArrivalProcess::ClosedLoop),
                     }
                 };
-                let arrive = cfg.horizon.mul_f64(cfg.arrival_window * rng.next_f64());
-                let mean = cfg.mean_lifetime.as_secs_f64().max(1e-9);
-                let mut life = SimTime::from_secs_f64(rng.exponential(1.0 / mean));
-                if life < cfg.min_lifetime {
-                    life = cfg.min_lifetime;
-                }
+                let arrive = cfg.horizon.mul_f64(ARRIVAL_WINDOW * rng.next_f64());
+                let life = SimTime::from_secs_f64(rng.exponential(1.0 / mean)).max(min_life);
                 let depart = (arrive + life).min(cfg.horizon);
                 FleetJob {
                     client,
@@ -385,10 +371,6 @@ pub struct FleetConfig {
     pub migration: bool,
     /// Migration trigger: HP normalized throughput below this.
     pub migrate_threshold: f64,
-    /// HP job SLO: aggregated p99 within this factor of dedicated p99.
-    pub slo_latency_factor: f64,
-    /// BE job SLO: normalized throughput at least this.
-    pub slo_tput_factor: f64,
     /// Fleet-level fault injection. `None` (the default) keeps the fleet
     /// fault-free: no health state machine is constructed, no fate rolls
     /// happen, and the run is byte-identical to pre-fault-plan builds.
@@ -411,8 +393,6 @@ impl FleetConfig {
             online: false,
             migration: false,
             migrate_threshold: 0.55,
-            slo_latency_factor: 2.0,
-            slo_tput_factor: 0.25,
             faults: None,
         }
     }
@@ -436,11 +416,7 @@ impl FleetConfig {
             cell_seed(cell_seed(self.rc.seed, FLEET_EPISODE_TAG), gpu as u64),
             epoch as u64,
         );
-        rc.online = if self.online {
-            OnlineConfig::learning()
-        } else {
-            OnlineConfig::disabled()
-        };
+        rc.online = self.online;
         rc
     }
 }
@@ -478,7 +454,7 @@ pub fn dedicated_ref_inputs(
             rc.horizon = cfg.epoch;
             rc.warmup = cfg.epoch / 5;
             rc.seed = cell_seed(cell_seed(cfg.rc.seed, FLEET_DED_TAG), i as u64);
-            rc.online = OnlineConfig::disabled();
+            rc.online = false;
             (label, client, rc)
         })
         .collect()
@@ -680,6 +656,10 @@ impl FleetRobustnessReport {
 pub const MAX_FLEET_REJECTIONS: usize = 64;
 /// Cap on stored episode-failure context strings.
 const MAX_EPISODE_FAILURES: usize = 16;
+/// HP job SLO: aggregated p99 within this factor of dedicated p99.
+const SLO_LATENCY_FACTOR: f64 = 2.0;
+/// BE job SLO: normalized throughput at least this.
+const SLO_TPUT_FACTOR: f64 = 0.25;
 
 /// The fleet control plane: a pull-driven state machine. Call
 /// [`FleetSim::next_epoch`] for the next batch of independent episodes, run
@@ -796,7 +776,7 @@ impl FleetSim {
         }
         h.evac_count[id] = h.evac_count[id].saturating_add(1);
         self.robust.evacuations += 1;
-        if h.evac_count[id] > h.plan.max_evacuations {
+        if h.evac_count[id] > MAX_EVACUATIONS {
             h.lost[id] = true;
             h.evacuated_at[id] = None;
             let reason = ClusterError::CapacityExhausted {
@@ -836,7 +816,7 @@ impl FleetSim {
             }
             h.strikes[g] = h.strikes[g].saturating_add(1);
             let level = h.strikes[g].saturating_sub(1).min(31);
-            let span = (1u64 << level).clamp(1, h.plan.quarantine_max_epochs.max(1));
+            let span = (1u64 << level).min(QUARANTINE_MAX_EPOCHS);
             h.gpu[g] = GpuHealth::Quarantined {
                 until: epoch.saturating_add(span as usize),
             };
@@ -879,7 +859,7 @@ impl FleetSim {
                 if let GpuHealth::Quarantined { until } = h.gpu[g] {
                     if until <= epoch {
                         h.gpu[g] = GpuHealth::Probation {
-                            clean_left: h.plan.probation_epochs.max(1),
+                            clean_left: PROBATION_EPOCHS,
                         };
                         self.placer.set_offline(g, false);
                         self.robust.reinstated += 1;
@@ -1315,9 +1295,9 @@ impl FleetSim {
             let slo_met = st.resident_epochs > 0
                 && !lost[id]
                 && if hp {
-                    st.completed > 0 && p99 <= dref.p99.mul_f64(cfg.slo_latency_factor)
+                    st.completed > 0 && p99 <= dref.p99.mul_f64(SLO_LATENCY_FACTOR)
                 } else {
-                    normalized >= cfg.slo_tput_factor
+                    normalized >= SLO_TPUT_FACTOR
                 };
             jobs.push(FleetJobResult {
                 job: id,
@@ -1506,6 +1486,7 @@ mod tests {
         let mut cfg = FleetConfig::new(4, 3);
         cfg.epoch = SimTime::from_secs(1);
         cfg.rc.seed = 7;
+        cfg.rc.validate = crate::validate::ValidateMode::Strict;
         cfg
     }
 

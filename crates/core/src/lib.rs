@@ -74,15 +74,12 @@ pub mod prelude {
         ClusterError, DedicatedRef, EpisodeSpec, FleetConfig, FleetJob, FleetReport, FleetSim,
         FleetTrace, FleetTraceConfig,
     };
-    pub use crate::online::{OnlineConfig, OnlineReport};
+    pub use crate::online::OnlineReport;
     pub use crate::policy::{OrionConfig, PolicyKind};
     pub use crate::serving::{
-        run_serving, AdmissionConfig, ServingConfig, ServingError, ServingPolicy, ServingReport,
-        SloConfig,
+        run_serving, ServingConfig, ServingError, ServingPolicy, ServingReport, SloConfig,
     };
-    pub use crate::supervisor::{
-        ClientFault, ClientFaultKind, FaultConfig, RobustnessReport, SupervisorConfig,
-    };
+    pub use crate::supervisor::{ClientFault, ClientFaultKind, FaultConfig, RobustnessReport};
     pub use crate::validate::{ValidateMode, ValidationReport};
     pub use crate::world::{
         run_collocation, run_collocation_with_profiles, ClientResult, RunConfig, RunResult,

@@ -11,13 +11,12 @@
 //! opposition, duration throttle) apply as if the profile were offline.
 //!
 //! Admitted kernels keep being watched. A run of strongly divergent clean
-//! samples (z-score above the drift threshold, `drift_window` times in a
-//! row) demotes the kernel back to Observing — its profile is withdrawn,
-//! the estimator is re-seeded from the divergent samples, and the ladder
-//! re-learns the new regime. Observing-state estimators likewise reset on a
-//! strongly divergent sample: Welford never forgets, so mixing pre- and
-//! post-drift samples would inflate the variance and block re-admission
-//! forever.
+//! samples (z-score above `DRIFT_Z`, `DRIFT_WINDOW` times in a row) demotes
+//! the kernel back to Observing — its profile is withdrawn, the estimator is
+//! re-seeded from the divergent samples, and the ladder re-learns the new
+//! regime. Observing-state estimators likewise reset on a strongly divergent
+//! sample: Welford never forgets, so mixing pre- and post-drift samples would
+//! inflate the variance and block re-admission forever.
 
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -25,7 +24,20 @@ use std::sync::Arc;
 use orion_desim::time::SimTime;
 
 use super::estimator::Welford;
-use super::OnlineConfig;
+
+/// Clean samples required before a kernel may be admitted.
+pub(super) const MIN_SAMPLES: u32 = 5;
+/// Coefficient-of-variation gate at admission: the regime's clean samples
+/// must agree to within this relative spread.
+const MAX_CV: f64 = 0.05;
+/// Absolute floor on the deviation used in z-scores. The deterministic
+/// simulator produces near-identical clean durations, so an unfloored sigma
+/// would flag microscopic jitter as drift.
+const MIN_SIGMA: SimTime = SimTime::from_nanos(500);
+/// Z-score above which a clean sample counts as divergent (drift).
+const DRIFT_Z: f64 = 4.0;
+/// Consecutive divergent samples that confirm drift and demote.
+const DRIFT_WINDOW: u32 = 3;
 
 /// Where a kernel sits on the admission ladder. `Unknown` is implicit: a
 /// kernel with no tracker yet has produced no clean sample.
@@ -105,21 +117,20 @@ impl KernelTracker {
 
     /// Folds in one clean (uninterfered) duration sample and walks the
     /// ladder. Returns the profile-table action this sample triggered.
-    pub fn observe_clean(&mut self, dur: SimTime, cfg: &OnlineConfig) -> Option<LadderEvent> {
+    pub fn observe_clean(&mut self, dur: SimTime) -> Option<LadderEvent> {
         self.clean_samples += 1;
         let ns = dur.as_nanos() as f64;
-        let min_sigma = cfg.min_sigma.as_nanos() as f64;
+        let min_sigma = MIN_SIGMA.as_nanos() as f64;
         match self.state {
             AdmissionState::Observing => {
                 // Regime check first: a strongly divergent sample while
                 // learning means the distribution moved under us (drift
                 // mid-observation). Restart seeded with the new sample.
-                if self.est.count() >= 2 && self.est.z_score(ns, min_sigma) > cfg.drift_z {
+                if self.est.count() >= 2 && self.est.z_score(ns, min_sigma) > DRIFT_Z {
                     self.est.reset();
                 }
                 self.est.push(ns);
-                if self.est.count() >= u64::from(cfg.min_samples) && self.est.cv() <= cfg.max_cv
-                {
+                if self.est.count() >= u64::from(MIN_SAMPLES) && self.est.cv() <= MAX_CV {
                     self.state = AdmissionState::Admitted;
                     self.admitted_mean = self.est.mean_time();
                     self.admissions += 1;
@@ -130,10 +141,10 @@ impl KernelTracker {
                 None
             }
             AdmissionState::Admitted => {
-                if self.est.z_score(ns, min_sigma) > cfg.drift_z {
+                if self.est.z_score(ns, min_sigma) > DRIFT_Z {
                     self.strikes += 1;
                     self.strike_samples.push(ns);
-                    if self.strikes >= cfg.drift_window {
+                    if self.strikes >= DRIFT_WINDOW {
                         // Drift confirmed: withdraw the profile and re-learn
                         // the new regime, seeded with the strike samples.
                         self.state = AdmissionState::Observing;
@@ -234,25 +245,20 @@ impl KernelStore {
 mod tests {
     use super::*;
 
-    fn cfg() -> OnlineConfig {
-        OnlineConfig::learning()
-    }
-
     fn arc(s: &str) -> Arc<str> {
         Arc::from(s)
     }
 
     #[test]
     fn ladder_admits_after_min_low_variance_samples() {
-        let cfg = cfg();
         let mut store = KernelStore::new();
         let name = arc("gemm_7");
         let dur = SimTime::from_micros(120);
         let mut admitted = None;
-        for _ in 0..cfg.min_samples {
+        for _ in 0..MIN_SAMPLES {
             let t = store.tracker_mut(&name, 7);
             assert_eq!(t.state, AdmissionState::Observing);
-            admitted = t.observe_clean(dur, &cfg);
+            admitted = t.observe_clean(dur);
         }
         assert_eq!(admitted, Some(LadderEvent::Admit { mean: dur }));
         let t = store.tracker_mut(&name, 7);
@@ -276,32 +282,31 @@ mod tests {
 
     #[test]
     fn drift_demotes_then_readmits_new_regime() {
-        let cfg = cfg();
         let mut store = KernelStore::new();
         let name = arc("batch_norm_3");
         let old = SimTime::from_micros(100);
         let new = SimTime::from_micros(150); // 1.5x drift
-        for _ in 0..cfg.min_samples {
-            store.tracker_mut(&name, 3).observe_clean(old, &cfg);
+        for _ in 0..MIN_SAMPLES {
+            store.tracker_mut(&name, 3).observe_clean(old);
         }
         assert_eq!(store.tracker_mut(&name, 3).state, AdmissionState::Admitted);
 
         // Post-drift samples strike until the window demotes.
         let mut demoted = false;
-        for _ in 0..cfg.drift_window {
-            let ev = store.tracker_mut(&name, 3).observe_clean(new, &cfg);
+        for _ in 0..DRIFT_WINDOW {
+            let ev = store.tracker_mut(&name, 3).observe_clean(new);
             demoted = ev == Some(LadderEvent::Demote);
         }
-        assert!(demoted, "drift_window strikes must demote");
+        assert!(demoted, "DRIFT_WINDOW strikes must demote");
         let t = store.tracker_mut(&name, 3);
         assert_eq!(t.state, AdmissionState::Observing);
         assert_eq!(t.demotions, 1);
         // The strike samples seeded the new regime...
-        assert_eq!(t.regime_samples(), u64::from(cfg.drift_window));
+        assert_eq!(t.regime_samples(), u64::from(DRIFT_WINDOW));
         // ...so re-admission needs only the remaining samples.
         let mut readmitted = None;
-        for _ in 0..cfg.min_samples {
-            readmitted = store.tracker_mut(&name, 3).observe_clean(new, &cfg);
+        for _ in 0..MIN_SAMPLES {
+            readmitted = store.tracker_mut(&name, 3).observe_clean(new);
             if readmitted.is_some() {
                 break;
             }
@@ -311,12 +316,11 @@ mod tests {
 
     #[test]
     fn single_on_distribution_sample_clears_strikes() {
-        let cfg = cfg();
         let mut store = KernelStore::new();
         let name = arc("elementwise_9");
         let dur = SimTime::from_micros(80);
-        for _ in 0..cfg.min_samples {
-            store.tracker_mut(&name, 9).observe_clean(dur, &cfg);
+        for _ in 0..MIN_SAMPLES {
+            store.tracker_mut(&name, 9).observe_clean(dur);
         }
         // One divergent sample (a transient, not drift), then normal again:
         // no demotion ever happens.
@@ -324,10 +328,10 @@ mod tests {
             assert_eq!(
                 store
                     .tracker_mut(&name, 9)
-                    .observe_clean(SimTime::from_micros(200), &cfg),
+                    .observe_clean(SimTime::from_micros(200)),
                 None
             );
-            assert_eq!(store.tracker_mut(&name, 9).observe_clean(dur, &cfg), None);
+            assert_eq!(store.tracker_mut(&name, 9).observe_clean(dur), None);
         }
         assert_eq!(store.tracker_mut(&name, 9).state, AdmissionState::Admitted);
         assert_eq!(store.tracker_mut(&name, 9).demotions, 0);
@@ -335,21 +339,20 @@ mod tests {
 
     #[test]
     fn observing_reset_on_divergence_unblocks_admission() {
-        let cfg = cfg();
         let mut store = KernelStore::new();
         let name = arc("pooling_2");
         // Two pre-drift samples, then the regime moves: without the reset
         // the mixed variance would hold CV above the gate indefinitely.
         store
             .tracker_mut(&name, 2)
-            .observe_clean(SimTime::from_micros(100), &cfg);
+            .observe_clean(SimTime::from_micros(100));
         store
             .tracker_mut(&name, 2)
-            .observe_clean(SimTime::from_micros(100), &cfg);
+            .observe_clean(SimTime::from_micros(100));
         let new = SimTime::from_micros(160);
         let mut admitted = None;
-        for _ in 0..cfg.min_samples {
-            admitted = store.tracker_mut(&name, 2).observe_clean(new, &cfg);
+        for _ in 0..MIN_SAMPLES {
+            admitted = store.tracker_mut(&name, 2).observe_clean(new);
             if admitted.is_some() {
                 break;
             }
@@ -364,7 +367,6 @@ mod tests {
     #[test]
     fn id_cache_matches_name_keyed_lookup_under_aliasing() {
         use orion_desim::rng::DetRng;
-        let cfg = cfg();
         let names: Vec<Arc<str>> = (0..6).map(|i| arc(&format!("k{i}"))).collect();
         for seed in 0..30u64 {
             let mut rng = DetRng::new(seed);
@@ -385,7 +387,7 @@ mod tests {
                     _ => rng.uniform_u64(8) as u32,
                 };
                 let t = store.tracker_mut(&name, id);
-                t.observe_clean(SimTime::from_micros(100), &cfg);
+                t.observe_clean(SimTime::from_micros(100));
                 let pos = match model.iter().position(|(m, _, _)| *m == name) {
                     Some(p) => p,
                     None => {

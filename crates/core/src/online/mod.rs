@@ -31,9 +31,9 @@
 //!   nearly every request.
 //!
 //! Determinism: the subsystem is constructed only when
-//! [`OnlineConfig::enabled`] is set (the [`crate::supervisor::FaultConfig`]
-//! precedent), so disabled runs take zero new branches and stay
-//! byte-identical. When enabled, every update is driven by the simulation's
+//! [`crate::world::RunConfig::online`] is set (the
+//! [`crate::supervisor::FaultConfig`] precedent), so disabled runs take zero
+//! new branches and stay byte-identical. When enabled, every update is driven by the simulation's
 //! own completion order — no wall clock, no randomness — so online runs are
 //! as reproducible as offline ones.
 
@@ -49,65 +49,13 @@ use crate::client::ClientPriority;
 use ladder::{AdmissionState, KernelStore, LadderEvent};
 use tuner::SoloLatencyTuner;
 
-/// Tuning for the online profiling subsystem. The default is **disabled**:
-/// construction of any online state is skipped entirely and the run is
-/// byte-identical to a build without this module.
-#[derive(Debug, Clone)]
-pub struct OnlineConfig {
-    /// Master switch. Off ⇒ no estimators, no ladder, no tuner.
-    pub enabled: bool,
-    /// Clean samples required before a kernel may be admitted.
-    pub min_samples: u32,
-    /// Coefficient-of-variation gate at admission: the regime's clean
-    /// samples must agree to within this relative spread.
-    pub max_cv: f64,
-    /// Absolute floor on the deviation used in z-scores. The deterministic
-    /// simulator produces near-identical clean durations, so an unfloored
-    /// sigma would flag microscopic jitter as drift.
-    pub min_sigma: SimTime,
-    /// Z-score above which a clean sample counts as divergent (drift).
-    pub drift_z: f64,
-    /// Consecutive divergent samples that confirm drift and demote.
-    pub drift_window: u32,
-    /// Sliding-window size of the solo-latency tuner.
-    pub latency_window: usize,
-    /// Clean request latencies required before the first threshold update.
-    pub min_latency_samples: u32,
-    /// Oracle tolerance: relative error between a learned duration and the
-    /// true solo duration above which an admission is a violation.
-    pub admit_tolerance: f64,
-}
-
-impl Default for OnlineConfig {
-    fn default() -> Self {
-        OnlineConfig::disabled()
-    }
-}
-
-impl OnlineConfig {
-    /// Online profiling off (the default; byte-identical runs).
-    pub fn disabled() -> Self {
-        OnlineConfig {
-            enabled: false,
-            ..OnlineConfig::learning()
-        }
-    }
-
-    /// Online profiling on, with the standard thresholds.
-    pub fn learning() -> Self {
-        OnlineConfig {
-            enabled: true,
-            min_samples: 5,
-            max_cv: 0.05,
-            min_sigma: SimTime::from_nanos(500),
-            drift_z: 4.0,
-            drift_window: 3,
-            latency_window: 16,
-            min_latency_samples: 3,
-            admit_tolerance: 0.10,
-        }
-    }
-}
+/// Sliding-window size of the solo-latency tuner.
+const LATENCY_WINDOW: usize = 16;
+/// Clean request latencies required before the first threshold update.
+const MIN_LATENCY_SAMPLES: u32 = 3;
+/// Oracle tolerance: relative error between a learned duration and the true
+/// solo duration above which an admission is a violation.
+pub(crate) const ADMIT_TOLERANCE: f64 = 0.10;
 
 /// A profile-table mutation the world must apply after a ladder step.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -128,11 +76,10 @@ struct ClientOnline {
 }
 
 /// The live online-profiling state of one collocation run. Constructed only
-/// when [`OnlineConfig::enabled`]; owned by the world alongside the
+/// when [`crate::world::RunConfig::online`] is set; owned by the world alongside the
 /// validator and supervisor.
 #[derive(Debug)]
 pub struct OnlineState {
-    cfg: OnlineConfig,
     clients: Vec<ClientOnline>,
     /// Per-client flag: some op of the client's in-flight request ran
     /// interfered (engine truth), so the request's latency is not its solo
@@ -150,29 +97,23 @@ pub struct OnlineState {
 
 impl OnlineState {
     /// Builds the per-client learning state (tuners for HP clients only).
-    pub fn new(cfg: OnlineConfig, priorities: &[ClientPriority]) -> Self {
+    pub fn new(priorities: &[ClientPriority]) -> Self {
         let clients = priorities
             .iter()
             .map(|&p| ClientOnline {
                 store: KernelStore::new(),
                 tuner: (p == ClientPriority::HighPriority)
-                    .then(|| SoloLatencyTuner::new(cfg.latency_window)),
+                    .then(|| SoloLatencyTuner::new(LATENCY_WINDOW)),
             })
             .collect();
         let n = priorities.len();
         OnlineState {
-            cfg,
             clients,
             request_interfered: vec![false; n],
             last_request_done: vec![SimTime::ZERO; n],
             pending_estimates: Vec::new(),
             latency_estimates: 0,
         }
-    }
-
-    /// The active configuration.
-    pub fn cfg(&self) -> &OnlineConfig {
-        &self.cfg
     }
 
     /// Records whether one op of the client's in-flight request ran
@@ -199,7 +140,7 @@ impl OnlineState {
             tracker.observe_interfered();
             return None;
         }
-        match tracker.observe_clean(dur, &self.cfg)? {
+        match tracker.observe_clean(dur)? {
             LadderEvent::Admit { mean } => Some(ProfileAction::Publish {
                 kernel_ids: tracker.kernel_ids.clone(),
                 mean,
@@ -225,7 +166,7 @@ impl OnlineState {
             return;
         };
         tuner.push(latency, !interfered && !queued);
-        if let Some(est) = tuner.estimate(u64::from(self.cfg.min_latency_samples)) {
+        if let Some(est) = tuner.estimate(u64::from(MIN_LATENCY_SAMPLES)) {
             self.pending_estimates.push((client, est));
             self.latency_estimates += 1;
         }
@@ -322,10 +263,7 @@ mod tests {
     use super::*;
 
     fn hp_be() -> OnlineState {
-        OnlineState::new(
-            OnlineConfig::learning(),
-            &[ClientPriority::HighPriority, ClientPriority::BestEffort],
-        )
+        OnlineState::new(&[ClientPriority::HighPriority, ClientPriority::BestEffort])
     }
 
     #[test]
@@ -334,7 +272,7 @@ mod tests {
         let name: Arc<str> = Arc::from("gemm_4");
         let dur = SimTime::from_micros(200);
         let mut action = None;
-        for _ in 0..s.cfg().min_samples {
+        for _ in 0..ladder::MIN_SAMPLES {
             action = s.observe_kernel(1, &name, 4, dur, false);
         }
         assert_eq!(
@@ -379,7 +317,7 @@ mod tests {
         assert!(s.take_estimates().is_empty(), "still warming up");
         // Clean requests land in the window: the minimum snaps to solo and
         // estimates flow to the policy.
-        for i in 0..s.cfg().min_latency_samples {
+        for i in 0..MIN_LATENCY_SAMPLES {
             let done = SimTime::from_millis(25 + 10 * u64::from(i));
             s.observe_hp_request(0, done, solo);
         }
@@ -396,7 +334,7 @@ mod tests {
         s.observe_hp_request(1, SimTime::from_secs(1), solo);
         assert!(s.take_estimates().is_empty());
         let r = s.report(|_, _| None);
-        assert_eq!(r.clean_latency_samples, u64::from(s.cfg().min_latency_samples));
+        assert_eq!(r.clean_latency_samples, u64::from(MIN_LATENCY_SAMPLES));
         assert_eq!(r.contaminated_latency_samples, 2);
     }
 
@@ -405,7 +343,7 @@ mod tests {
         let mut s = hp_be();
         let name: Arc<str> = Arc::from("layer_norm_6");
         let learned = SimTime::from_micros(100);
-        for _ in 0..s.cfg().min_samples {
+        for _ in 0..ladder::MIN_SAMPLES {
             s.observe_kernel(1, &name, 6, learned, false);
         }
         // Truth moved to 125 us (drift after admission, not yet detected):

@@ -56,14 +56,6 @@ pub struct OrionConfig {
     /// §5.1.3 extension: only submit best-effort memcpys when the PCIe link
     /// is not already saturated by high-priority copies.
     pub pcie_aware_memcpy: bool,
-    /// Extension beyond the paper: also gate a best-effort kernel against
-    /// the profiles of *outstanding best-effort* kernels from other clients.
-    /// Listing 1 only compares against the high-priority kernel, so with
-    /// several best-effort clients, same-profile best-effort kernels can
-    /// stack (e.g. two memory-bound kernels saturating bandwidth) and slow
-    /// the high-priority job collaterally — the effect our Figure 13
-    /// reproduction exposes. Off by default (paper-faithful).
-    pub gate_be_vs_be: bool,
     /// Serving extension: the off-peak duty. When set, only a best-effort
     /// kernel whose profile is the true opposite (compute vs memory) of the
     /// running high-priority kernel overlaps it freely. Every other profiled
@@ -92,7 +84,6 @@ impl Default for OrionConfig {
             dur_threshold_frac: Some(0.025),
             sm_threshold: None,
             pcie_aware_memcpy: false,
-            gate_be_vs_be: false,
             offpeak_duty: None,
             #[cfg(any(test, feature = "test-fixtures"))]
             inject_hp_copy_drift: false,
@@ -268,8 +259,8 @@ impl Orion {
             && !self.current_hp_profile().is_opposite(be)
     }
 
-    /// Listing 1 `schedule_be`, plus the optional BE-vs-BE extension gate,
-    /// the off-peak slice and the conservative unprofiled-kernel gate
+    /// Listing 1 `schedule_be`, plus the off-peak slice and the
+    /// conservative unprofiled-kernel gate
     /// (DESIGN.md §11). `be_dur` is the kernel's profiled duration.
     fn schedule_be(
         &self,
@@ -284,16 +275,6 @@ impl Orion {
             // Degrade conservatively: never co-schedule it with high-priority
             // work, run it only on an otherwise HP-idle device.
             return !self.hp_active();
-        }
-        if self.cfg.gate_be_vs_be
-            && self
-                .be_outstanding
-                .iter()
-                .any(|&(_, p)| p != ResourceProfile::Unknown && p == be_profile)
-        {
-            // Another best-effort kernel with the same bottleneck is already
-            // on the device; stacking them saturates that resource.
-            return false;
         }
         if !self.hp_active() {
             return true;
@@ -734,26 +715,6 @@ mod tests {
         assert!(o.schedule_be(Unknown, 80, ms(5), true));
         assert!(!o.schedule_be(MemoryBound, 80, ms(5), true));
         assert_eq!(OrionConfig::default().offpeak_duty, None);
-    }
-
-    #[test]
-    fn be_vs_be_gate_blocks_same_profile_stacking() {
-        let mut o = Orion::new(OrionConfig {
-            gate_be_vs_be: true,
-            ..OrionConfig::default()
-        });
-        o.sm_threshold = 80;
-        // A memory-bound BE kernel is outstanding; another memory-bound BE
-        // kernel is blocked even with no HP activity.
-        o.be_outstanding.push_back((OpId(7), ResourceProfile::MemoryBound));
-        assert!(!o.schedule_be(ResourceProfile::MemoryBound, 20, SimTime::ZERO, true));
-        assert!(o.schedule_be(ResourceProfile::ComputeBound, 20, SimTime::ZERO, true));
-        assert!(o.schedule_be(ResourceProfile::Unknown, 20, SimTime::ZERO, true));
-        // Without the extension the stacking is allowed (paper-faithful).
-        let mut o = Orion::new(OrionConfig::default());
-        o.sm_threshold = 80;
-        o.be_outstanding.push_back((OpId(7), ResourceProfile::MemoryBound));
-        assert!(o.schedule_be(ResourceProfile::MemoryBound, 20, SimTime::ZERO, true));
     }
 
     #[test]

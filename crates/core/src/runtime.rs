@@ -13,18 +13,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
 use std::thread;
 
-/// Outcome of a bounded-queue launch interception
-/// ([`InterceptRuntime::try_intercept`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum TryPushOutcome {
-    /// The launch record was enqueued.
-    Queued,
-    /// The queue is at capacity; the caller should back off and retry (the
-    /// record was *not* enqueued).
-    Backpressure,
-}
-
-/// An MPMC queue of launch records, optionally bounded.
+/// An MPMC queue of launch records.
 ///
 /// A mutex-guarded ring buffer: pushes are a lock + `VecDeque::push_back`,
 /// which stays well under the §6.5 sub-microsecond budget on an uncontended
@@ -39,9 +28,6 @@ pub enum TryPushOutcome {
 #[derive(Debug, Default)]
 struct LaunchQueue {
     inner: Mutex<VecDeque<LaunchRecord>>,
-    /// Maximum queued records; `None` = unbounded (the §6.5 default, so the
-    /// overhead measurements keep their no-backpressure semantics).
-    capacity: Option<usize>,
 }
 
 impl LaunchQueue {
@@ -50,15 +36,6 @@ impl LaunchQueue {
             .lock()
             .unwrap_or_else(PoisonError::into_inner)
             .push_back(record);
-    }
-
-    fn try_push(&self, record: LaunchRecord) -> TryPushOutcome {
-        let mut q = self.inner.lock().unwrap_or_else(PoisonError::into_inner);
-        if self.capacity.is_some_and(|cap| q.len() >= cap) {
-            return TryPushOutcome::Backpressure;
-        }
-        q.push_back(record);
-        TryPushOutcome::Queued
     }
 
     fn pop(&self) -> Option<LaunchRecord> {
@@ -110,39 +87,11 @@ impl InterceptRuntime {
         }
     }
 
-    /// Creates a runtime whose per-client queues are bounded to `capacity`
-    /// records. Only [`InterceptRuntime::try_intercept`] observes the bound;
-    /// [`InterceptRuntime::intercept`] stays unbounded so the §6.5 overhead
-    /// measurements are unaffected by the mode.
-    pub fn with_capacity(clients: usize, capacity: usize) -> Self {
-        InterceptRuntime {
-            queues: (0..clients)
-                .map(|_| {
-                    Arc::new(LaunchQueue {
-                        inner: Mutex::new(VecDeque::with_capacity(capacity)),
-                        capacity: Some(capacity),
-                    })
-                })
-                .collect(),
-            dispatched: Arc::new(AtomicU64::new(0)),
-            idle_parks: Arc::new(AtomicU64::new(0)),
-            stop: Arc::new(AtomicBool::new(false)),
-        }
-    }
-
     /// The wrapper-side call: intercept one kernel launch.
     ///
     /// This is the §6.5 hot path — one queue push.
     pub fn intercept(&self, record: LaunchRecord) {
         self.queues[record.client as usize].push(record);
-    }
-
-    /// Bounded-mode interception: enqueues the launch unless the client's
-    /// queue is at capacity, in which case [`TryPushOutcome::Backpressure`]
-    /// tells the wrapper to stall the client (a run-ahead limit, REEF-style)
-    /// instead of buffering unboundedly.
-    pub fn try_intercept(&self, record: LaunchRecord) -> TryPushOutcome {
-        self.queues[record.client as usize].try_push(record)
     }
 
     /// Number of launches the scheduler has drained.
@@ -383,44 +332,6 @@ mod tests {
         // Clean drain: every record from both clients dispatched, nothing
         // lost to the poisoned lock, scheduler thread joined without panic.
         assert_eq!(rt.dispatched(), 1_500);
-    }
-
-    #[test]
-    fn bounded_queue_reports_backpressure() {
-        let rt = InterceptRuntime::with_capacity(1, 4);
-        let rec = |seq| LaunchRecord {
-            kernel_id: seq as u32,
-            client: 0,
-            seq,
-        };
-        for seq in 0..4 {
-            assert_eq!(rt.try_intercept(rec(seq)), TryPushOutcome::Queued);
-        }
-        assert_eq!(rt.try_intercept(rec(4)), TryPushOutcome::Backpressure);
-        // Draining one slot re-opens the queue.
-        assert!(rt.queues[0].pop().is_some());
-        assert_eq!(rt.try_intercept(rec(4)), TryPushOutcome::Queued);
-        // The backpressured record was not enqueued: 4 remain.
-        let mut n = 0;
-        while rt.queues[0].pop().is_some() {
-            n += 1;
-        }
-        assert_eq!(n, 4);
-    }
-
-    #[test]
-    fn default_mode_is_unbounded() {
-        let rt = InterceptRuntime::new(1);
-        for seq in 0..10_000u64 {
-            assert_eq!(
-                rt.try_intercept(LaunchRecord {
-                    kernel_id: 0,
-                    client: 0,
-                    seq,
-                }),
-                TryPushOutcome::Queued
-            );
-        }
     }
 
     #[test]

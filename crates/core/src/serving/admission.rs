@@ -1,4 +1,4 @@
-//! Admission tuning, step-time prediction, and eviction victim selection.
+//! Step-time prediction and eviction victim selection for admission.
 
 use std::collections::HashMap;
 
@@ -6,56 +6,6 @@ use orion_desim::time::SimTime;
 use orion_workloads::models::llm::llm_batched_decode_step;
 
 use super::request::Request;
-use super::ServingError;
-
-/// Tuning of the SLO-aware admission controller.
-#[derive(Debug, Clone)]
-pub struct AdmissionConfig {
-    /// Fraction of the KV budget admission may plan up to: projected KV
-    /// (live + candidate prompt + lookahead) must stay below
-    /// `watermark × budget`. Headroom above the watermark absorbs decode
-    /// growth before evictions fire.
-    pub watermark: f64,
-    /// Deadline-risk margin: a join is deferred when the predicted decode
-    /// step time at `batch + 1` exceeds `slo_margin × per_token` SLO. The
-    /// margin reserves room for collocation interference the solo
-    /// prediction cannot see.
-    pub slo_margin: f64,
-    /// Tokens of per-request growth the KV projection reserves beyond the
-    /// prompt. Zero is vLLM-style optimistic admission (rely on eviction);
-    /// the mean output length makes admission conservative enough that
-    /// evictions never fire.
-    pub lookahead_tokens: u32,
-    /// Evictions a request survives (re-queued, re-prefilled) before it is
-    /// dropped.
-    pub max_evictions: u32,
-    /// Queued requests are shed once they have waited this long.
-    pub max_queue_wait: SimTime,
-}
-
-impl Default for AdmissionConfig {
-    fn default() -> Self {
-        AdmissionConfig {
-            watermark: 0.9,
-            slo_margin: 0.75,
-            lookahead_tokens: 0,
-            max_evictions: 2,
-            max_queue_wait: SimTime::from_secs(2),
-        }
-    }
-}
-
-impl AdmissionConfig {
-    pub(super) fn validate(&self) -> Result<(), ServingError> {
-        if !(0.0..=1.0).contains(&self.watermark) || self.watermark == 0.0 {
-            return Err(ServingError::InvalidConfig("watermark outside (0, 1]"));
-        }
-        if !(0.0..=1.0).contains(&self.slo_margin) || self.slo_margin == 0.0 {
-            return Err(ServingError::InvalidConfig("slo_margin outside (0, 1]"));
-        }
-        Ok(())
-    }
-}
 
 /// Context lengths are quantized to pages of this many tokens for step-time
 /// prediction and decode-kernel generation (paged-attention cost quanta);

@@ -26,6 +26,21 @@ use super::{ServingConfig, ServingReport};
 use crate::client::RequestSource;
 use crate::validate::{ValidateMode, Validator};
 
+/// Fraction of the KV budget admission may plan up to: projected KV (live +
+/// candidate prompt) must stay below `KV_WATERMARK × budget`. Headroom above
+/// the watermark absorbs decode growth before evictions fire.
+const KV_WATERMARK: f64 = 0.9;
+/// Deadline-risk margin: a join is deferred when the predicted decode step
+/// time at `batch + 1` exceeds `SLO_MARGIN × per_token` SLO. The margin
+/// reserves room for collocation interference the solo prediction cannot
+/// see.
+const SLO_MARGIN: f64 = 0.75;
+/// Evictions a request survives (re-queued, re-prefilled) before it is
+/// dropped.
+const MAX_EVICTIONS: u32 = 2;
+/// Queued requests are shed once they have waited this long.
+const MAX_QUEUE_WAIT: SimTime = SimTime::from_secs(2);
+
 /// The serving step currently running as the client's request.
 enum Step {
     /// Prefill pass for one admitted request.
@@ -213,7 +228,7 @@ impl<'c> Batcher<'c> {
         r.kv_tokens = 0;
         r.generated = 0;
         r.evictions += 1;
-        if r.evictions > self.cfg.admission.max_evictions {
+        if r.evictions > MAX_EVICTIONS {
             r.state = ReqState::Dropped;
             self.report.dropped_evicted += 1;
         } else {
@@ -280,13 +295,12 @@ impl<'c> Batcher<'c> {
     /// pass. Stops at the first deferral (FIFO admission order). Runs only
     /// between steps, so no prefill is in flight.
     fn admission_pass(&mut self, now: SimTime, gpu: &mut GpuEngine) {
-        let adm = &self.cfg.admission;
         loop {
             let Some(&cand) = self.queue.front() else {
                 return;
             };
             let spec = self.requests[cand].spec;
-            let stale = now - self.requests[cand].queued_at > adm.max_queue_wait;
+            let stale = now - self.requests[cand].queued_at > MAX_QUEUE_WAIT;
             if stale || spec.admit_kv_bytes() > self.report.kv_budget_bytes {
                 self.queue.pop_front();
                 self.requests[cand].state = ReqState::Dropped;
@@ -321,14 +335,13 @@ impl<'c> Batcher<'c> {
                 + 1;
             let avg_ctx = (total_ctx / u64::from(projected_batch)) as u32;
             let predicted = self.predictor.predict(projected_batch, avg_ctx);
-            if predicted > self.cfg.slo.per_token.mul_f64(adm.slo_margin) {
+            if predicted > self.cfg.slo.per_token.mul_f64(SLO_MARGIN) {
                 self.report.deferred_slo += 1;
                 return;
             }
             // KV headroom: projected live KV must stay under the watermark.
-            let lookahead = kv_cache_bytes(adm.lookahead_tokens);
-            let projected_kv = self.kv_used + spec.admit_kv_bytes() + lookahead;
-            let watermark = (adm.watermark * self.report.kv_budget_bytes as f64) as u64;
+            let projected_kv = self.kv_used + spec.admit_kv_bytes();
+            let watermark = (KV_WATERMARK * self.report.kv_budget_bytes as f64) as u64;
             if projected_kv > watermark {
                 self.report.deferred_kv += 1;
                 return;

@@ -21,7 +21,6 @@ mod admission;
 mod batcher;
 mod request;
 
-pub use admission::AdmissionConfig;
 pub use request::{generate_requests, RequestSpec};
 
 use orion_desim::time::SimTime;
@@ -42,11 +41,11 @@ use batcher::Batcher;
 #[derive(Debug, Clone)]
 pub struct SloConfig {
     /// Target time-to-first-token. Queued requests are shed once their wait
-    /// exceeds [`AdmissionConfig::max_queue_wait`] (reported against this).
+    /// exceeds a fixed 2 s cap (reported against this).
     pub ttft: SimTime,
     /// Per-token (decode-step service time) objective; the admission
     /// controller's deadline-risk gate refuses joins whose predicted step
-    /// time would exceed `slo_margin × per_token`.
+    /// time would exceed 0.75 × `per_token`.
     pub per_token: SimTime,
 }
 
@@ -90,15 +89,10 @@ pub struct ServingConfig {
     pub prompt_tokens: (u32, u32),
     /// Inclusive uniform range of output lengths (tokens).
     pub output_tokens: (u32, u32),
-    /// Fraction of requests in the interactive (higher-priority) class;
-    /// the rest are batch-class and are evicted first under pressure.
-    pub interactive_fraction: f64,
     /// Hard cap on concurrent requests (running + prefilling).
     pub max_batch: u32,
     /// Latency objectives.
     pub slo: SloConfig,
-    /// Admission/eviction tuning.
-    pub admission: AdmissionConfig,
     /// The policy scheduling the serving client and the best-effort one.
     pub policy: PolicyKind,
     /// Collocated best-effort training client, if any.
@@ -122,10 +116,8 @@ impl ServingConfig {
             rps: 1.8,
             prompt_tokens: (64, 320),
             output_tokens: (32, 160),
-            interactive_fraction: 0.7,
             max_batch: 8,
             slo: SloConfig::interactive(),
-            admission: AdmissionConfig::default(),
             policy: ServingPolicy::orion_default(),
             be: None,
             validate: ValidateMode::Off,
@@ -185,10 +177,6 @@ impl ServingConfig {
         if self.output_tokens.0 == 0 || self.output_tokens.0 > self.output_tokens.1 {
             return Err(ServingError::InvalidConfig("output token range is empty"));
         }
-        if !(0.0..=1.0).contains(&self.interactive_fraction) {
-            return Err(ServingError::InvalidConfig("interactive_fraction outside [0, 1]"));
-        }
-        self.admission.validate()?;
         if let PolicyKind::Orion(OrionConfig {
             offpeak_duty: Some(duty),
             ..
@@ -331,7 +319,7 @@ pub struct ServingReport {
     pub utilization: UtilSummary,
     /// Measurement window length.
     pub window: SimTime,
-    /// Oracle report (when [`ServingConfig::validate`] enabled it): the
+    /// Oracle report (when [`ServingConfig`]'s `validate` mode enabled it): the
     /// collocation world's policy checks plus the batcher's step-boundary
     /// checks.
     pub validation: Option<ValidationReport>,

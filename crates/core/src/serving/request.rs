@@ -34,6 +34,10 @@ impl RequestSpec {
     }
 }
 
+/// Fraction of requests in the interactive (higher-priority) class; the rest
+/// are batch-class and are evicted first under pressure.
+const INTERACTIVE_FRACTION: f64 = 0.7;
+
 /// Draws the request trace: Poisson arrivals, uniform prompt/output lengths,
 /// Bernoulli priority class. Streams are domain-separated by fork index so
 /// arrival times and request shapes are independent draws.
@@ -49,7 +53,7 @@ pub fn generate_requests(cfg: &ServingConfig) -> Vec<RequestSpec> {
         .map(|arrival| {
             let prompt_tokens = plo + shape.uniform_u64(u64::from(phi - plo) + 1) as u32;
             let output_tokens = olo + shape.uniform_u64(u64::from(ohi - olo) + 1) as u32;
-            let interactive = shape.next_f64() < cfg.interactive_fraction;
+            let interactive = shape.next_f64() < INTERACTIVE_FRACTION;
             RequestSpec {
                 arrival,
                 prompt_tokens,

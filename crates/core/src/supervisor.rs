@@ -16,7 +16,7 @@
 //! * **Non-sticky op fault** (copy/malloc failure) — the op alone is
 //!   retried, bounded per request.
 //! * **Watchdog stall** — an op outlived its deadline (expected duration
-//!   plus [`SupervisorConfig::op_timeout`]); the supervisor resets the
+//!   plus a fixed 2 s grace); the supervisor resets the
 //!   device preemptively and recovers as above with the stalled op's client
 //!   as culprit.
 //! * **Client crash/hang** — a client that stopped making progress while
@@ -32,9 +32,11 @@ use std::collections::HashMap;
 use orion_desim::time::SimTime;
 use orion_gpu::fault::{FaultKind, FaultRates, FaultTarget};
 
-/// Watchdog and retry/backoff tuning for the recovery supervisor.
+/// Watchdog and retry/backoff tuning for the recovery supervisor. Every run
+/// uses [`Default`]; the fields exist so the backoff and retry properties
+/// can be tested over many values.
 #[derive(Debug, Clone)]
-pub struct SupervisorConfig {
+pub(crate) struct SupervisorConfig {
     /// Period of the watchdog event that scans op deadlines and client
     /// liveness.
     pub watchdog_interval: SimTime,
@@ -67,7 +69,7 @@ impl Default for SupervisorConfig {
     }
 }
 
-/// Device-fault injection plus supervisor tuning for one run.
+/// Device-fault injection for one run.
 #[derive(Debug, Clone)]
 pub struct FaultConfig {
     /// Probabilistic device-fault rates (see [`orion_gpu::fault`]).
@@ -76,18 +78,15 @@ pub struct FaultConfig {
     pub stall: SimTime,
     /// Targeted device faults.
     pub targets: Vec<(FaultTarget, FaultKind)>,
-    /// Supervisor tuning.
-    pub supervisor: SupervisorConfig,
 }
 
 impl FaultConfig {
-    /// No device faults; default supervisor tuning.
+    /// No device faults.
     pub fn none() -> FaultConfig {
         FaultConfig {
             rates: FaultRates::default(),
             stall: SimTime::from_millis(50),
             targets: Vec::new(),
-            supervisor: SupervisorConfig::default(),
         }
     }
 

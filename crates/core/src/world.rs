@@ -14,9 +14,11 @@ use orion_profiler::{kernel_profile, profile_workload, KernelProfile};
 use orion_workloads::OpSpec;
 
 use crate::client::{ClientPriority, ClientSpec, ClientState, RequestSource};
-use crate::online::{OnlineConfig, OnlineReport, OnlineState, ProfileAction};
+use crate::online::{OnlineReport, OnlineState, ProfileAction, ADMIT_TOLERANCE};
 use crate::policy::{Policy, PolicyKind, Routed, RoutedCompletion, SchedCtx};
-use crate::supervisor::{ClientFaultKind, FaultConfig, RobustnessReport, Supervisor};
+use crate::supervisor::{
+    ClientFaultKind, FaultConfig, RobustnessReport, Supervisor, SupervisorConfig,
+};
 use crate::validate::{ValidateMode, ValidationReport, Validator};
 
 /// Domain-separation tag deriving the device fault-plan seed from the run
@@ -49,10 +51,11 @@ pub struct RunConfig {
     /// default ([`FaultConfig::none`]) injects nothing and arms no
     /// supervisor, leaving the run byte-identical to pre-fault builds.
     pub faults: FaultConfig,
-    /// Online profiling (see [`crate::online`]). The default
-    /// ([`OnlineConfig::disabled`]) constructs no online state, leaving the
-    /// run byte-identical to pre-online builds.
-    pub online: OnlineConfig,
+    /// Online profiling (see [`crate::online`]): learn kernel profiles and
+    /// the high-priority solo latency from the run itself. Off (the default)
+    /// constructs no online state, leaving the run byte-identical to
+    /// pre-online builds.
+    pub online: bool,
 }
 
 impl RunConfig {
@@ -67,7 +70,7 @@ impl RunConfig {
             record_trace: false,
             validate: ValidateMode::Off,
             faults: FaultConfig::none(),
-            online: OnlineConfig::disabled(),
+            online: false,
         }
     }
 
@@ -82,7 +85,7 @@ impl RunConfig {
             record_trace: false,
             validate: ValidateMode::Strict,
             faults: FaultConfig::none(),
-            online: OnlineConfig::disabled(),
+            online: false,
         }
     }
 
@@ -98,21 +101,9 @@ impl RunConfig {
         self
     }
 
-    /// Replaces the oracle mode.
-    pub fn with_validate(mut self, mode: ValidateMode) -> Self {
-        self.validate = mode;
-        self
-    }
-
     /// Replaces the fault configuration.
     pub fn with_faults(mut self, faults: FaultConfig) -> Self {
         self.faults = faults;
-        self
-    }
-
-    /// Replaces the online-profiling configuration.
-    pub fn with_online(mut self, online: OnlineConfig) -> Self {
-        self.online = online;
         self
     }
 }
@@ -543,7 +534,7 @@ impl CollocationWorld<'_> {
                             &k.name,
                             mean,
                             &true_durs,
-                            online.cfg().admit_tolerance,
+                            ADMIT_TOLERANCE,
                         );
                     }
                     let learned = kernel_profile(&k, mean, self.gpu.spec());
@@ -1019,9 +1010,11 @@ pub(crate) fn run_world(
     // runs, keeping fault-free runs event-for-event identical to pre-fault
     // builds.
     let chaos = !cfg.faults.is_none() || states.iter().any(|c| c.spec.fault.is_some());
-    let online = cfg.online.enabled.then(|| {
+    let supervisor = chaos.then(|| Supervisor::new(SupervisorConfig::default(), n_clients));
+    let watchdog = supervisor.as_ref().map(|s| s.cfg.watchdog_interval);
+    let online = cfg.online.then(|| {
         let priorities: Vec<ClientPriority> = states.iter().map(ClientState::priority).collect();
-        OnlineState::new(cfg.online.clone(), &priorities)
+        OnlineState::new(&priorities)
     });
     let world = CollocationWorld {
         gpu,
@@ -1037,7 +1030,7 @@ pub(crate) fn run_world(
             .validate
             .enabled()
             .then(|| Validator::new(cfg.validate == ValidateMode::Strict)),
-        supervisor: chaos.then(|| Supervisor::new(cfg.faults.supervisor.clone(), n_clients)),
+        supervisor,
         recovery_requeued: Vec::new(),
         recovery_shed: Vec::new(),
         pending_culprit: None,
@@ -1048,8 +1041,8 @@ pub(crate) fn run_world(
     };
 
     let mut sim = Simulation::new(world);
-    if chaos {
-        sim.schedule_at(cfg.faults.supervisor.watchdog_interval, Ev::Watchdog);
+    if let Some(at) = watchdog {
+        sim.schedule_at(at, Ev::Watchdog);
     }
 
     // Seed arrivals.
@@ -1145,7 +1138,6 @@ pub(crate) fn run_world(
 
     let learned = cfg
         .online
-        .enabled
         .then(|| world.clients.iter().map(|c| c.profile.clone()).collect());
 
     Ok(RunResult {
@@ -1357,7 +1349,7 @@ mod tests {
         // truth (the Strict oracle panics on any admission outside the
         // tolerance).
         let mut cfg = RunConfig::quick_test();
-        cfg.online = OnlineConfig::learning();
+        cfg.online = true;
         let clients = vec![
             ClientSpec::high_priority(
                 inference_workload(ModelKind::ResNet50),
@@ -1392,7 +1384,7 @@ mod tests {
         // kernels must be caught by the z-strike detector, withdrawn, and
         // re-admitted at the new regime — all under the Strict oracle.
         let mut cfg = RunConfig::quick_test();
-        cfg.online = OnlineConfig::learning();
+        cfg.online = true;
         let drift_at = SimTime::from_millis(1500);
         let clients = vec![
             ClientSpec::high_priority(

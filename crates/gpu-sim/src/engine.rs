@@ -805,7 +805,7 @@ impl GpuEngine {
 
     /// Submits a kernel launch by reference — the hot-path equivalent of
     /// [`GpuEngine::submit`] with [`OpKind::Kernel`]. The descriptor is
-    /// interned (see [`DescSlot`]), so repeated launches of one shared
+    /// interned (see `DescSlot`), so repeated launches of one shared
     /// prototype clone no `Arc` and validate only once.
     pub fn submit_kernel(&mut self, stream: StreamId, k: &Arc<KernelDesc>) -> Result<OpId, GpuError> {
         if self.device_faulted {

@@ -409,7 +409,7 @@ pub enum Refreshed {
 ///    factors are exactly 1.0 and each rate equals its multiplier bitwise,
 ///    so only dirty kernels are rewritten. Over capacity — or on the
 ///    transition back under — every factor depends on the totals, so the
-///    refresh falls back to the full [`arbitrated_factors_into`] arithmetic
+///    refresh falls back to the full `arbitrated_factors_into` arithmetic
 ///    over all kernels (the *exact fallback*).
 ///
 /// # Dirty-set propagation

@@ -1,4 +1,4 @@
-//! A discrete-event GPU device simulator with a CUDA-like runtime API.
+//! A discrete-event GPU device simulator with CUDA runtime semantics.
 //!
 //! This crate is the hardware substrate for the Orion (EuroSys '24)
 //! reproduction. It models the parts of a GPU that Orion's scheduling policy
@@ -23,10 +23,11 @@
 //!   interval, producing the timelines of Figures 1, 8 and 9 and the averages
 //!   of Table 1 without sampling noise.
 //!
-//! The central type is [`engine::GpuEngine`]; [`cuda`] offers a thin
-//! CUDA-flavoured facade over it.
+//! The central type is [`engine::GpuEngine`]: its submit, event-query,
+//! advance and drain calls are the CUDA runtime calls the scheduling
+//! policies drive directly (`submit` of a kernel is `cudaLaunchKernel`,
+//! `event_done` is `cudaEventQuery`, and so on).
 
-pub mod cuda;
 pub mod engine;
 pub mod error;
 pub mod fault;

@@ -42,6 +42,12 @@ fn memcpy_to_unknown_stream_is_rejected() {
         .unwrap_err();
     assert_eq!(err, GpuError::UnknownStream(7));
     assert!(!e.busy(), "rejected op must not occupy the device");
+    // A kernel launch takes its own path (descriptor interning first).
+    assert_eq!(
+        e.submit_kernel(StreamId(7), &kernel(0)).unwrap_err(),
+        GpuError::UnknownStream(7)
+    );
+    assert!(!e.busy(), "rejected kernel must not occupy the device");
 }
 
 #[test]
@@ -89,6 +95,23 @@ fn free_of_unknown_allocation_is_rejected() {
     let a = e.alloc_immediate(1 << 20).unwrap();
     e.free_immediate(a).unwrap();
     assert_eq!(e.free_immediate(a).unwrap_err(), GpuError::UnknownAllocation(a.0));
+}
+
+#[test]
+fn submitted_free_of_unknown_allocation_completes_and_releases_nothing() {
+    // Unlike `free_immediate`, a `Free` op is a stream operation: the
+    // unknown id cannot fail the submit, so the op completes as a no-op.
+    let mut e = engine();
+    let s = e.create_stream(StreamPriority::DEFAULT);
+    let live = e.alloc_immediate(4096).unwrap();
+    let alloc = AllocId(live.0 + 7);
+    e.submit(s, OpKind::Free { alloc }).unwrap();
+    e.advance_to(SimTime::from_micros(1));
+    let done = e.drain_completions();
+    assert_eq!(done.len(), 1);
+    assert_eq!(done[0].kind, "free");
+    assert_eq!(done[0].status, CompletionStatus::Ok);
+    assert_eq!(e.memory().used(), 4096, "the live allocation is untouched");
 }
 
 #[test]

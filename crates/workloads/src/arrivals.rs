@@ -14,6 +14,17 @@ use orion_desim::time::SimTime;
 
 use crate::model::ModelKind;
 
+/// Highest arrival rate a schedule honours: one request per nanosecond, the
+/// clock's resolution. Faster rates are clamped to it, so no schedule ever
+/// steps by a zero gap.
+const MAX_RPS: f64 = 1e9;
+
+/// The rate a schedule draws from: `None` (no arrivals) unless the rate is
+/// positive and finite, clamped to [`MAX_RPS`].
+fn usable_rate(rps: f64) -> Option<f64> {
+    (rps.is_finite() && rps > 0.0).then(|| rps.min(MAX_RPS))
+}
+
 /// An inference request arrival process.
 #[derive(Debug, Clone, PartialEq)]
 pub enum ArrivalProcess {
@@ -65,7 +76,8 @@ impl ArrivalProcess {
 
     /// Generates the arrival timestamps within `[0, horizon)`.
     ///
-    /// Returns an empty schedule for [`ArrivalProcess::ClosedLoop`].
+    /// Returns an empty schedule for [`ArrivalProcess::ClosedLoop`] and for
+    /// a rate that is not positive and finite.
     pub fn schedule(&self, horizon: SimTime, rng: &mut DetRng) -> Vec<SimTime> {
         match self {
             ArrivalProcess::ClosedLoop | ArrivalProcess::ClosedLoopThink { .. } => Vec::new(),
@@ -73,11 +85,14 @@ impl ArrivalProcess {
                 ts.iter().copied().filter(|&t| t < horizon).collect()
             }
             ArrivalProcess::Poisson { rps } => {
+                let Some(rps) = usable_rate(*rps) else {
+                    return Vec::new();
+                };
                 let mut out = Vec::new();
                 let mut t = 0.0;
                 let horizon_s = horizon.as_secs_f64();
                 loop {
-                    t += rng.exponential(*rps);
+                    t += rng.exponential(rps);
                     if t >= horizon_s {
                         break;
                     }
@@ -86,9 +101,9 @@ impl ArrivalProcess {
                 out
             }
             ArrivalProcess::Uniform { rps } => {
-                if *rps <= 0.0 {
+                let Some(rps) = usable_rate(*rps) else {
                     return Vec::new();
-                }
+                };
                 let gap = SimTime::from_secs_f64(1.0 / rps);
                 let mut out = Vec::new();
                 let mut t = gap;
@@ -107,9 +122,9 @@ impl ArrivalProcess {
 /// stream (a camera pipeline), 30% arrives in bursts of three back-to-back
 /// requests every few frames (multi-sensor fusion events).
 fn apollo_schedule(mean_rps: f64, horizon: SimTime, rng: &mut DetRng) -> Vec<SimTime> {
-    if mean_rps <= 0.0 {
+    let Some(mean_rps) = usable_rate(mean_rps) else {
         return Vec::new();
-    }
+    };
     let mut out = Vec::new();
     let horizon_s = horizon.as_secs_f64();
 
@@ -313,9 +328,33 @@ mod tests {
     fn degenerate_rates_are_empty() {
         let mut rng = DetRng::new(6);
         let h = SimTime::from_secs(1);
-        assert!(ArrivalProcess::Uniform { rps: 0.0 }.schedule(h, &mut rng).is_empty());
-        assert!(ArrivalProcess::Poisson { rps: 0.0 }.schedule(h, &mut rng).is_empty());
-        assert!(ArrivalProcess::Apollo { mean_rps: 0.0 }.schedule(h, &mut rng).is_empty());
+        for rps in [0.0, -3.0, f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for p in [
+                ArrivalProcess::Uniform { rps },
+                ArrivalProcess::Poisson { rps },
+                ArrivalProcess::Apollo { mean_rps: rps },
+            ] {
+                assert!(p.schedule(h, &mut rng).is_empty(), "{p:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn huge_rates_clamp_to_one_arrival_per_nanosecond() {
+        let mut rng = DetRng::new(7);
+        let h = SimTime::from_micros(1);
+        let uniform = ArrivalProcess::Uniform { rps: 1e300 }.schedule(h, &mut rng);
+        assert_eq!(uniform.len(), 999);
+        let one_ns = SimTime::from_nanos(1);
+        assert!(uniform.windows(2).all(|w| w[1] - w[0] == one_ns));
+        for p in [
+            ArrivalProcess::Poisson { rps: 1e300 },
+            ArrivalProcess::Apollo { mean_rps: 1e300 },
+        ] {
+            let s = p.schedule(h, &mut rng);
+            let n = s.len();
+            assert!(n > 0 && n < 4_000, "{p:?}: {n} arrivals");
+        }
     }
 
     #[test]

@@ -82,11 +82,15 @@ fn parse_client(spec: &str, hp: bool, speedup: f64) -> Result<ClientSpec, String
     .scaled(speedup);
 
     let rps = || -> Result<f64, String> {
-        parts
+        let rps = parts
             .get(3)
             .ok_or_else(|| format!("client '{spec}': arrival process needs :<rps>"))?
             .parse::<f64>()
-            .map_err(|e| format!("client '{spec}': bad rps: {e}"))
+            .map_err(|e| format!("client '{spec}': bad rps: {e}"))?;
+        if !(rps.is_finite() && rps > 0.0) {
+            return Err(format!("client '{spec}': rps must be positive and finite"));
+        }
+        Ok(rps)
     };
     let arrivals = match parts.get(2).copied().unwrap_or("closed") {
         "closed" => ArrivalProcess::ClosedLoop,
@@ -314,6 +318,12 @@ mod tests {
         assert!(parse_client("bert:invalid", true, s).is_err(), "bad kind");
         assert!(parse_client("bert:inf:poisson", true, s).is_err(), "missing rps");
         assert!(parse_client("bert:inf:poisson:abc", true, s).is_err(), "bad rps");
+        for rps in ["nan", "inf", "-inf", "0", "-2"] {
+            for arrivals in ["poisson", "uniform", "apollo"] {
+                let spec = format!("resnet50:inf:{arrivals}:{rps}");
+                assert!(parse_client(&spec, true, s).is_err(), "{spec}");
+            }
+        }
         assert!(parse_client("llm:train", true, s).is_err(), "llm training");
         assert!(parse_client("bert:inf:warp:3", true, s).is_err(), "bad arrivals");
     }

@@ -78,7 +78,7 @@ fn scenario() -> RunResult {
         malloc_fail: 2e-3,
         ..FaultRates::default()
     });
-    let cfg = cfg.with_online(OnlineConfig::learning());
+    cfg.online = true;
     let clients = vec![
         ClientSpec::high_priority(
             inference_workload(ModelKind::ResNet50),
