@@ -62,14 +62,20 @@ cargo run -q --release --example cluster_placement
 echo "==> bench smoke + perf gate (16-stream within 20% of 4-stream; 64-stream at least 45% of 16-stream)"
 ORION_FAST=1 ORION_BENCH_GATE=1 scripts/bench.sh
 
-echo "==> perfbench smoke (1 s per workload, seed 1: outputs correct, no failed operations)"
-for w in colloc fleet llm_serving; do
-    result=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0 | tail -n 1)
+echo "==> perfbench smoke (1 s per workload, seed 1: outputs correct, no failed operations, digests pinned exactly)"
+for pin in colloc=0x9605fc479ce7fc12 fleet=0xe28bee323e5e1a21 llm_serving=0x92022357a207e0fc; do
+    w=${pin%%=*}
+    want=${pin#*=}
+    out=$(python3 perfbench/run.py --workload "$w" --seed 1 --seconds 1 --trace 0)
+    result=$(printf '%s\n' "$out" | tail -n 1)
     echo "$w: $result"
     python3 -c 'import json, sys
 r = json.loads(sys.argv[1])
 sys.exit(0 if r["correct"] is True and r["failed"] == 0 else 1)' "$result" \
         || { echo "perfbench $w: run not correct or operations failed" >&2; exit 1; }
+    got=$(printf '%s\n' "$out" | awk '$1 == "digest" { print $5 }')
+    echo "$w: $got"
+    [ "$got" = "$want" ] || { echo "perfbench $w seed 1: digest $got, pinned $want" >&2; exit 1; }
 done
 
 echo "==> perfbench held-out digests (seed 1000, 1 s: simulated outputs pinned exactly)"
