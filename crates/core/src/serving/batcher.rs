@@ -66,9 +66,9 @@ pub(super) struct Batcher<'c> {
     /// Members of the in-flight (or just-finished) decode step with their
     /// token counts at its start; empty for a prefill step.
     members: Vec<(usize, u32)>,
-    /// The last decode shape, reused while `(batch, context bucket)` repeats
-    /// (consecutive steps mostly share it; older shapes are not kept).
-    last_decode: Option<((u32, u32), Arc<Workload>)>,
+    /// Recently used decode shapes, reused when `(batch, context bucket)`
+    /// recurs.
+    decode_shapes: DecodeShapes,
     predictor: StepTimePredictor,
     /// Ledger bytes held by the static allocations (weights, BE footprint).
     static_bytes: u64,
@@ -84,6 +84,35 @@ pub(super) struct Batcher<'c> {
     pub fatal: Option<GpuError>,
 }
 
+/// Decode shapes a batcher keeps. Over the seven serving runs of perfbench
+/// llm_serving (seed 1, 1 s), 40,578 decode steps built 2,613 shapes with
+/// one slot, 1,494 with four and 946 with eight. A kept shape holds about
+/// 130 descriptors (~22 KB).
+const DECODE_SHAPES: usize = 4;
+
+/// The most recently used decode-step op traces, most recent first, keyed
+/// by `(batch, context bucket)`. A reused trace hands the world the same
+/// kernel descriptors, which the engine has interned and validated
+/// already; a rebuilt one misses the engine's descriptor index on every
+/// kernel. Prefill traces are not kept: prompt lengths rarely repeat.
+#[derive(Debug, Default)]
+struct DecodeShapes(Vec<((u32, u32), Arc<Workload>)>);
+
+impl DecodeShapes {
+    /// The trace for `key`, moved to the front; built (evicting the least
+    /// recently used shape when full) on a miss.
+    fn get_or_build(&mut self, key: (u32, u32)) -> Arc<Workload> {
+        match self.0.iter().position(|(k, _)| *k == key) {
+            Some(i) => self.0[..=i].rotate_right(1),
+            None => {
+                self.0.truncate(DECODE_SHAPES - 1);
+                self.0.insert(0, (key, Arc::new(llm_batched_decode_step(key.0, key.1))));
+            }
+        }
+        Arc::clone(&self.0[0].1)
+    }
+}
+
 impl<'c> Batcher<'c> {
     /// A batcher over the request trace `specs`, with `static_bytes` of the
     /// device's capacity already held by static allocations.
@@ -97,7 +126,7 @@ impl<'c> Batcher<'c> {
             running: Vec::new(),
             step: None,
             members: Vec::new(),
-            last_decode: None,
+            decode_shapes: DecodeShapes::default(),
             predictor: StepTimePredictor::default(),
             static_bytes,
             kv_used: 0,
@@ -275,14 +304,7 @@ impl<'c> Batcher<'c> {
             self.members.push((i, r.generated));
         }
         let key = (batch, ctx_bucket((total_ctx / u64::from(batch)) as u32));
-        let shape = match &self.last_decode {
-            Some((k, w)) if *k == key => Arc::clone(w),
-            _ => {
-                let w = Arc::new(llm_batched_decode_step(key.0, key.1));
-                self.last_decode = Some((key, Arc::clone(&w)));
-                w
-            }
-        };
+        let shape = self.decode_shapes.get_or_build(key);
         self.step = Some(Step::Decode { started: now });
         self.report.decode_steps += 1;
         self.report.peak_batch = self.report.peak_batch.max(batch);
@@ -433,5 +455,28 @@ impl RequestSource for Batcher<'_> {
         self.report.ledger_high_water = gpu.memory().high_water();
         self.audit(now, gpu);
         self.start_step(now)
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn decode_shapes_are_reused_least_recently_used_first() {
+        let mut shapes = DecodeShapes::default();
+        let keys = [(1, 64), (2, 64), (3, 128), (4, 64)];
+        let built: Vec<_> = keys.iter().map(|&k| shapes.get_or_build(k)).collect();
+        // A hit hands back the same trace and moves it to the front.
+        assert!(Arc::ptr_eq(&shapes.get_or_build((1, 64)), &built[0]));
+        // A fifth shape evicts the least recently used one, (2, 64).
+        let fifth = shapes.get_or_build((5, 256));
+        assert!(Arc::ptr_eq(&shapes.get_or_build((5, 256)), &fifth));
+        for (i, &k) in keys.iter().enumerate().skip(2) {
+            assert!(Arc::ptr_eq(&shapes.get_or_build(k), &built[i]), "{k:?} kept");
+        }
+        assert!(Arc::ptr_eq(&shapes.get_or_build((1, 64)), &built[0]));
+        assert!(!Arc::ptr_eq(&shapes.get_or_build((2, 64)), &built[1]), "(2, 64) rebuilt");
+        assert_eq!(shapes.0.len(), DECODE_SHAPES);
     }
 }

@@ -168,6 +168,9 @@ pub struct RunResult {
     /// Kernel submits that missed the engine's descriptor index and
     /// validated a descriptor (host-cost counter).
     pub desc_intern_misses: u64,
+    /// Interference-model refreshes that did work; kernels that ran alone
+    /// cost none (host-cost counter).
+    pub interference_evals: u64,
 }
 
 impl RunResult {
@@ -1165,6 +1168,7 @@ pub(crate) fn run_world(
         completion_scans: world.gpu.completion_scan_count(),
         kernel_submits: world.gpu.kernel_submit_count(),
         desc_intern_misses: world.gpu.desc_intern_miss_count(),
+        interference_evals: world.gpu.eval_count(),
     })
 }
 
@@ -1452,6 +1456,11 @@ mod tests {
         assert!(r.kernel_submits > 1000, "kernel submits {}", r.kernel_submits);
         let misses = r.desc_intern_misses as f64 / r.kernel_submits as f64;
         assert!(misses <= 0.03, "{misses:.4} descriptor-intern misses per kernel submit");
+        // A kernel running alone costs no interference evaluation (0.206
+        // refreshes that did work per op here; 1.419 when every kernel
+        // went through the evaluator).
+        let evals = r.interference_evals as f64 / r.ops_completed as f64;
+        assert!(evals <= 0.25, "{evals:.3} interference evaluations per completed op");
     }
 
     #[test]

@@ -434,6 +434,24 @@ struct KSlot {
     class: u32,
 }
 
+/// The kernel running alone on the device, kept out of the interference
+/// evaluator and out of its rate class's heap (DESIGN.md §4, "Lone
+/// kernels"). Alone, a kernel is granted every SM it needs (`sm_needed` is
+/// capped at the device's SM count) and runs at exactly its solo rate 1.0,
+/// so there is nothing to evaluate, and its completion instant is fixed
+/// once, when the first refresh after its dispatch rates it.
+#[derive(Debug, Clone, Copy)]
+struct Solo {
+    /// The evaluator input the general path would hold for it: no SMs
+    /// granted until it is rated, every SM it needs from then on.
+    load: KernelLoad,
+    /// The evaluator output the general path would hold for it: a
+    /// zero-rate placeholder until it is rated.
+    rate: KernelRate,
+    /// Completion instant, fixed when it is rated; `None` before.
+    done_at: Option<SimTime>,
+}
+
 /// Min-heap entry of a rate class: the member's *completion key*
 /// `S_c(join) + remaining(join)` — the class virtual time at which the
 /// member's work runs out. `key_bits` stores the key's f64 bit pattern;
@@ -703,8 +721,12 @@ pub struct GpuEngine {
     /// kernel rates are refreshed independently).
     copies_dirty: bool,
     /// Incremental interference evaluator; its loads mirror
-    /// `running_kernels` index-for-index.
+    /// `running_kernels` index-for-index, except while `solo` holds the
+    /// one running kernel (the evaluator is then empty).
     inc: IncrementalEval,
+    /// The kernel running alone, while it stays alone (see [`Solo`]). It
+    /// is still in `running_kernels`, `kslots` and `pos_of`.
+    solo: Option<Solo>,
     /// Rate-class slab: cohorts of running kernels progressing at one common
     /// rate, each carrying a lazily-integrated virtual time. Slots recycle
     /// through `free_classes` when their last member leaves.
@@ -818,6 +840,7 @@ impl GpuEngine {
             rates_dirty: false,
             copies_dirty: false,
             inc,
+            solo: None,
             classes: Vec::new(),
             free_classes: Vec::new(),
             parked_class: None,
@@ -1258,7 +1281,9 @@ impl GpuEngine {
 
     /// Interference-model evaluations that did any work (incremental or
     /// full) since engine creation. A refresh with no membership change and
-    /// no dirty kernel is skipped and not counted.
+    /// no dirty kernel is skipped and not counted, and a kernel that runs
+    /// alone from dispatch to completion is never evaluated: a chain of
+    /// kernels on one stream of an otherwise idle device counts none.
     pub fn eval_count(&self) -> u64 {
         self.inc.evals()
     }
@@ -1379,14 +1404,21 @@ impl GpuEngine {
     /// Introspection for the differential equivalence harness: the current
     /// interference-model inputs, parallel to the running-kernel set. Valid
     /// after any refresh point ([`GpuEngine::advance_to`] /
-    /// [`GpuEngine::next_event_time`]).
+    /// [`GpuEngine::next_event_time`]). A kernel running alone is not in
+    /// the evaluator; it shows here exactly as the evaluator would hold it.
     pub fn interference_loads(&self) -> &[KernelLoad] {
-        self.inc.loads()
+        match &self.solo {
+            Some(s) => std::slice::from_ref(&s.load),
+            None => self.inc.loads(),
+        }
     }
 
     /// The model outputs parallel to [`GpuEngine::interference_loads`].
     pub fn interference_rates(&self) -> &[KernelRate] {
-        self.inc.rates()
+        match &self.solo {
+            Some(s) => std::slice::from_ref(&s.rate),
+            None => self.inc.rates(),
+        }
     }
 
     // ---- internals ----
@@ -1437,6 +1469,10 @@ impl GpuEngine {
     /// the join-time remaining is exact (the magnitude shrinks), and
     /// `ceil(x - n) = ceil(x) - n`, so the predicted instant is bitwise the
     /// one an eager per-event decrement would produce.
+    ///
+    /// A kernel running alone is the only one running: its instant was
+    /// fixed when it was rated (the same exact unit-rate arithmetic), so no
+    /// class is walked. Unrated, it is invisible like any classless kernel.
     fn scan_completions(&mut self) -> Option<SimTime> {
         let mut earliest: Option<SimTime> = None;
         let Self {
@@ -1445,45 +1481,50 @@ impl GpuEngine {
             pos_of,
             classes,
             now,
+            solo,
             ..
         } = self;
         let now = *now;
-        for c in classes.iter_mut() {
-            if c.members == 0 || c.rate <= 0.0 {
-                continue;
-            }
-            while let Some(&entry) = c.heap.peek() {
-                let live = ops[entry.id as usize]
-                    .as_ref()
-                    .is_some_and(|op| op.watch_epoch == entry.epoch);
-                if !live {
-                    c.heap.pop();
+        if let Some(s) = solo {
+            earliest = s.done_at;
+        } else {
+            for c in classes.iter_mut() {
+                if c.members == 0 || c.rate <= 0.0 {
                     continue;
                 }
-                // Unit-rate classes: the prediction for a fixed top entry is
-                // wall-clock invariant (exact integer arithmetic; `s` and
-                // `now` advance in lockstep), so reuse the cached instant
-                // and skip the division. Contended classes re-derive it —
-                // their rounding drifts with the evaluation point, and the
-                // drift is part of the pinned behaviour.
-                if c.rate.to_bits() == 1.0f64.to_bits()
-                    && entry.key_bits == c.pred_key
-                    && entry.epoch == c.pred_epoch
-                {
-                    let t = c.pred_at;
+                while let Some(&entry) = c.heap.peek() {
+                    let live = ops[entry.id as usize]
+                        .as_ref()
+                        .is_some_and(|op| op.watch_epoch == entry.epoch);
+                    if !live {
+                        c.heap.pop();
+                        continue;
+                    }
+                    // Unit-rate classes: the prediction for a fixed top entry is
+                    // wall-clock invariant (exact integer arithmetic; `s` and
+                    // `now` advance in lockstep), so reuse the cached instant
+                    // and skip the division. Contended classes re-derive it —
+                    // their rounding drifts with the evaluation point, and the
+                    // drift is part of the pinned behaviour.
+                    if c.rate.to_bits() == 1.0f64.to_bits()
+                        && entry.key_bits == c.pred_key
+                        && entry.epoch == c.pred_epoch
+                    {
+                        let t = c.pred_at;
+                        earliest = Some(earliest.map_or(t, |e: SimTime| e.min(t)));
+                        break;
+                    }
+                    let k = &kslots[pos_of[entry.id as usize] as usize];
+                    let rem = k.rem - (c.s - k.sjoin);
+                    let t = now + kernel_eta(rem, c.rate);
+                    if c.rate.to_bits() == 1.0f64.to_bits() {
+                        c.pred_key = entry.key_bits;
+                        c.pred_epoch = entry.epoch;
+                        c.pred_at = t;
+                    }
                     earliest = Some(earliest.map_or(t, |e: SimTime| e.min(t)));
                     break;
                 }
-                let k = &kslots[pos_of[entry.id as usize] as usize];
-                let rem = k.rem - (c.s - k.sjoin);
-                let t = now + kernel_eta(rem, c.rate);
-                if c.rate.to_bits() == 1.0f64.to_bits() {
-                    c.pred_key = entry.key_bits;
-                    c.pred_epoch = entry.epoch;
-                    c.pred_at = t;
-                }
-                earliest = Some(earliest.map_or(t, |e: SimTime| e.min(t)));
-                break;
             }
         }
         for &cid in &self.running_copies {
@@ -1512,6 +1553,9 @@ impl GpuEngine {
             if refreshed != Refreshed::Unchanged {
                 self.apply_rate_delta();
                 self.totals = UtilTotals::recompute(self.inc.rates());
+            }
+            if self.solo.is_some_and(|s| s.done_at.is_none()) {
+                self.rate_solo();
             }
         }
 
@@ -1684,6 +1728,84 @@ impl GpuEngine {
         });
     }
 
+    /// Rates the kernel running alone at the first refresh after its
+    /// dispatch, where the general path would grant it every SM it needs and
+    /// `class_join` it at rate 1.0. It takes the same class slot, epoch,
+    /// member count and `sjoin`, but pushes no heap entry: its completion
+    /// instant is fixed here instead, with the unit-rate arithmetic the
+    /// scan would use. The utilization totals are `UtilTotals::recompute`
+    /// over its one rate.
+    fn rate_solo(&mut self) {
+        let ci = self.solo_class();
+        let kid = self.running_kernels[0];
+        self.next_watch_epoch += 1;
+        let epoch = self.next_watch_epoch;
+        self.ops[kid as usize].as_mut().expect("running op exists").watch_epoch = epoch;
+        let c = &mut self.classes[ci as usize];
+        c.members += 1;
+        let k = &mut self.kslots[0];
+        k.class = ci;
+        k.sjoin = c.s;
+        let done_at = self.now + kernel_eta(k.rem, 1.0);
+        let s = self.solo.as_mut().expect("a lone kernel to rate");
+        let l = &mut s.load;
+        l.sm_granted = l.sm_needed;
+        // Fully granted, the interleave multiplier is exactly 1.0 and one
+        // kernel's demands stay under both roofs, so `demand * 1.0` is the
+        // consumed share.
+        s.rate = KernelRate {
+            sm_granted: l.sm_needed,
+            rate: 1.0,
+            compute_used: l.compute_demand,
+            mem_used: l.mem_demand,
+        };
+        s.done_at = Some(done_at);
+        self.totals = UtilTotals::recompute(std::slice::from_ref(&s.rate));
+    }
+
+    /// The slot `class_for_rate(1.0)` returns when no other kernel runs,
+    /// without its linear search. With nothing running, every alive class
+    /// but the parked unit class has been freed, so the search can only
+    /// find the parked class (when its virtual time is integral); failing
+    /// that it allocates, which `class_for_rate` still does.
+    fn solo_class(&mut self) -> u32 {
+        debug_assert!(
+            self.classes
+                .iter()
+                .enumerate()
+                .all(|(i, c)| !c.alive || self.parked_class == Some(i as u32)),
+            "an alive class besides the parked one while nothing runs"
+        );
+        match self.parked_class {
+            Some(p) if is_integral(self.classes[p as usize].s) => {
+                self.parked_class = None;
+                p
+            }
+            _ => self.class_for_rate(1.0),
+        }
+    }
+
+    /// A second kernel is dispatching beside the lone one: hand the lone
+    /// kernel to the evaluator and its class heap exactly as the general
+    /// path would hold them. Unrated, it enters ungranted, so the coming
+    /// refresh still grants the same-instant dispatches in (urgency, seq)
+    /// order; rated, it enters with its full grant and the heap entry
+    /// `class_join` would have pushed.
+    fn promote_solo(&mut self, s: Solo) {
+        debug_assert!(self.inc.is_empty(), "the evaluator is empty while a kernel runs alone");
+        self.inc.add(s.load);
+        if s.done_at.is_some() {
+            let kid = self.running_kernels[0];
+            let k = self.kslots[0];
+            let epoch = self.op(kid).watch_epoch;
+            self.classes[k.class as usize].heap.push(ClassEntry {
+                key_bits: (k.sjoin + k.rem).to_bits(),
+                id: kid,
+                epoch,
+            });
+        }
+    }
+
     /// The alive class whose rate equals `rate` bitwise, allocated on
     /// demand (recycling dead slots, heap capacity included). Linear scan:
     /// the live class count is the number of *distinct* concurrent rates,
@@ -1793,7 +1915,24 @@ impl GpuEngine {
         // cannot re-pop them). Finished members get their exact remaining
         // work stamped back into `KSlot::rem`, which the compact pass below
         // then collects with the same `<= EPS` test as before.
-        {
+        //
+        // A rated lone kernel has no heap entry: the same test runs on the
+        // key its entry would carry.
+        if let Some(s) = &self.solo {
+            if s.done_at.is_some() {
+                let k = &mut self.kslots[0];
+                let c = &self.classes[k.class as usize];
+                let thresh = c.s + EPS + ((c.s + EPS) * 1e-12 + 1e-6);
+                if k.sjoin + k.rem <= thresh {
+                    self.materializations += 1;
+                    let rem = k.rem - (c.s - k.sjoin);
+                    if rem <= EPS {
+                        k.rem = rem;
+                        k.sjoin = c.s;
+                    }
+                }
+            }
+        } else {
             let Self {
                 ops,
                 kslots,
@@ -1902,7 +2041,13 @@ impl GpuEngine {
             kslots.truncate(w);
         }
         if !positions.is_empty() {
-            self.inc.remove_sorted(&positions);
+            if self.solo.take().is_some() {
+                // The lone kernel finished: the device is idle, and the
+                // evaluator never held it.
+                self.totals = UtilTotals::default();
+            } else {
+                self.inc.remove_sorted(&positions);
+            }
         }
         self.scratch_pos = positions;
         for &kid in &finished {
@@ -1967,6 +2112,7 @@ impl GpuEngine {
         ids.clear();
         ids.append(&mut self.running_kernels);
         self.kslots.clear();
+        self.solo = None;
         self.classes.clear();
         self.free_classes.clear();
         self.parked_class = None;
@@ -2158,6 +2304,9 @@ impl GpuEngine {
                 let op = self.ops[head as usize].as_mut().expect("op exists");
                 op.dispatched_at = now;
                 let remaining = op.remaining;
+                // Onto an idle device the kernel runs alone, fully granted
+                // (`sm_needed` fits any device with SMs) at rate 1.0.
+                let alone = self.running_kernels.is_empty() && load.sm_needed <= self.spec.num_sms;
                 self.running_kernels.push(head);
                 // Classless until the first refresh rates it (the evaluator
                 // seeds new kernels at rate 0.0, so the first real rate
@@ -2172,10 +2321,28 @@ impl GpuEngine {
                     self.pos_of.resize(head as usize + 1, 0);
                 }
                 self.pos_of[head as usize] = pos;
-                // Grants happen at the next refresh, in global (urgency,
-                // seq) order over all starved kernels — identical to a full
-                // evaluation of the post-dispatch set.
-                self.inc.add(load);
+                if alone {
+                    // Kept out of the evaluator until a second kernel
+                    // dispatches (`promote_solo`); rated at the next refresh.
+                    self.solo = Some(Solo {
+                        load,
+                        rate: KernelRate {
+                            sm_granted: 0,
+                            rate: 0.0,
+                            compute_used: 0.0,
+                            mem_used: 0.0,
+                        },
+                        done_at: None,
+                    });
+                } else {
+                    if let Some(s) = self.solo.take() {
+                        self.promote_solo(s);
+                    }
+                    // Grants happen at the next refresh, in global (urgency,
+                    // seq) order over all starved kernels — identical to a
+                    // full evaluation of the post-dispatch set.
+                    self.inc.add(load);
+                }
                 self.rates_dirty = true;
                 HeadOutcome::Kernel
             }
@@ -2477,6 +2644,33 @@ mod tests {
         assert_eq!(done.len(), 1);
         assert!(!done[0].interfered, "solo kernel must be a clean sample");
         assert_eq!(done[0].at - done[0].dispatched_at.unwrap(), SimTime::from_micros(100));
+    }
+
+    #[test]
+    fn lone_kernel_chain_never_evaluates_interference() {
+        // Counted-work gate: kernels that each run alone cost no
+        // interference evaluation (1,001 before lone kernels bypassed the
+        // evaluator: one per dispatch plus the final empty refresh).
+        let mut e = engine();
+        let s = e.create_stream(StreamPriority::DEFAULT);
+        let shapes = [kernel(0, 3, 20, 0.4, 0.3), kernel(1, 5, 80, 0.9, 0.1)];
+        for i in 0..1_000 {
+            e.submit_kernel(s, &shapes[i % 2]).unwrap();
+        }
+        e.advance_to(SimTime::from_millis(5));
+        let done = e.drain_completions();
+        assert_eq!(done.len(), 1_000);
+        assert_eq!(done[999].at, SimTime::from_micros(500 * 3 + 500 * 5));
+        assert!(done.iter().all(|c| !c.interfered));
+        assert_eq!(e.eval_count(), 0);
+        // A second kernel beside a lone one brings the evaluator back.
+        let hp = e.create_stream(StreamPriority::HIGH);
+        e.submit_kernel(s, &shapes[1]).unwrap();
+        e.submit_kernel(hp, &shapes[0]).unwrap();
+        assert_eq!(e.interference_loads().len(), 2);
+        e.advance_to(SimTime::from_millis(6));
+        assert_eq!(e.drain_completions().len(), 2);
+        assert!(e.eval_count() > 0);
     }
 
     #[test]

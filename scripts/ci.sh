@@ -20,6 +20,14 @@ cargo build --release --workspace
 echo "==> cargo test -q (full workspace suite)"
 cargo test -q --workspace
 
+# Debug builds re-run the completion scan inside debug_asserts, and that scan
+# pops stale heap entries and refreshes prediction caches, so the engine's
+# internal state sequence differs between debug and release. Run the engine
+# suite (golden_trace, incremental_eq, proptest_model) on the release one too,
+# which is what the benchmarks execute.
+echo "==> cargo test -q --release -p orion-gpu (engine suite on the release state sequence)"
+cargo test -q --release -p orion-gpu
+
 echo "==> fast smoke suite (ORION_FAST=1, every exp module via the runner)"
 ORION_FAST=1 cargo test -q -p orion-bench --test smoke --test determinism
 
