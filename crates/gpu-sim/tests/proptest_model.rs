@@ -6,9 +6,7 @@
 use orion_desim::rng::{cell_seed, DetRng};
 use orion_desim::time::SimTime;
 use orion_gpu::engine::{GpuEngine, OpKind};
-use orion_gpu::interference::{
-    allocate_sms, arbitrated_factors, evaluate, IncrementalEval, KernelLoad, ModelParams,
-};
+use orion_gpu::interference::{allocate_sms, arbitrated_factors, evaluate, KernelLoad, ModelParams};
 use orion_gpu::kernel::{classify_utilization, KernelBuilder, ResourceProfile};
 use orion_gpu::spec::GpuSpec;
 use orion_gpu::stream::StreamPriority;
@@ -153,11 +151,13 @@ fn kernels_complete_and_obey_bounds() {
     }
 }
 
-/// The incremental evaluator never over-grants: at every refresh point of a
-/// random add/remove churn the grant total stays within the device and each
-/// kernel's own need.
+/// Sticky grants under membership churn, as the engine carries them: each
+/// evaluation's grants are written back into the loads, kernels join
+/// ungranted and leave at random. At every evaluation the grant total stays
+/// within the device and each kernel's own need, and no kernel ever loses
+/// an SM it was granted.
 #[test]
-fn incremental_grants_bounded_under_churn() {
+fn sticky_grants_bounded_under_churn() {
     for case in 0..CASES {
         let mut rng = DetRng::new(cell_seed(0xB7, case));
         let sms = 1 + rng.uniform_u64(199) as u32;
@@ -165,23 +165,29 @@ fn incremental_grants_bounded_under_churn() {
             num_sms: sms,
             ..ModelParams::from(&GpuSpec::v100_16gb())
         };
-        let mut inc = IncrementalEval::new(params);
+        let mut loads: Vec<KernelLoad> = Vec::new();
         let mut seq = 0u64;
         for step in 0..40 {
-            if inc.is_empty() || rng.uniform_u64(3) > 0 {
+            if loads.is_empty() || rng.uniform_u64(3) > 0 {
                 let mut l = gen_load(&mut rng);
                 l.seq = seq;
                 seq += 1;
-                inc.add(l);
+                loads.push(l);
             } else {
-                inc.remove_sorted(&[rng.uniform_u64(inc.len() as u64) as u32]);
+                loads.remove(rng.uniform_u64(loads.len() as u64) as usize);
             }
-            inc.refresh();
-            let total: u32 = inc.loads().iter().map(|l| l.sm_granted).sum();
+            let rates = evaluate(&params, &loads);
+            let total: u32 = rates.iter().map(|r| r.sm_granted).sum();
             assert!(total <= sms, "case {case} step {step}: {total} > {sms}");
-            for (l, r) in inc.loads().iter().zip(inc.rates()) {
-                assert!(l.sm_granted <= l.sm_needed, "case {case} step {step}");
-                assert_eq!(l.sm_granted, r.sm_granted, "case {case} step {step}");
+            for (l, r) in loads.iter_mut().zip(&rates) {
+                assert!(r.sm_granted <= l.sm_needed, "case {case} step {step}");
+                assert!(
+                    r.sm_granted >= l.sm_granted,
+                    "case {case} step {step}: grant revoked {} -> {}",
+                    l.sm_granted,
+                    r.sm_granted
+                );
+                l.sm_granted = r.sm_granted;
             }
         }
     }
@@ -267,12 +273,6 @@ fn idle_device_solo_rates_exact() {
         assert_eq!(r.sm_granted, l.sm_needed, "case {case}");
         assert_eq!(r.compute_used.to_bits(), l.compute_demand.to_bits(), "case {case}");
         assert_eq!(r.mem_used.to_bits(), l.mem_demand.to_bits(), "case {case}");
-
-        // The incremental evaluator agrees from a cold start.
-        let mut inc = IncrementalEval::new(p);
-        inc.add(KernelLoad { sm_granted: 0, ..l });
-        inc.refresh();
-        assert_eq!(inc.rates()[0].rate.to_bits(), 1.0f64.to_bits(), "case {case}");
     }
 }
 
@@ -300,11 +300,11 @@ fn solo_time_exact() {
     }
 }
 
-// ---- lazy rate-class invariants (PR 7) ----
+// ---- running-set invariants ----
 
 /// Drives a seeded mixed workload (kernels, copies, advances, resets) and
 /// invokes `check` after every step with the engine refreshed.
-fn drive_classes(tag: u64, case: u64, mut check: impl FnMut(&mut GpuEngine, &str)) {
+fn drive_churn(tag: u64, case: u64, mut check: impl FnMut(&mut GpuEngine, &str)) {
     let mut rng = DetRng::new(cell_seed(tag, case));
     let n_streams = 1 + rng.uniform_u64(48) as usize;
     let mut e = GpuEngine::new(GpuSpec::v100_16gb(), true);
@@ -352,28 +352,28 @@ fn drive_classes(tag: u64, case: u64, mut check: impl FnMut(&mut GpuEngine, &str
                 e.drain_completions();
             }
         }
-        e.next_event_time(); // force a refresh so class state is current
+        e.next_event_time(); // force a refresh so rates are current
         check(&mut e, &format!("case {case} step {step}"));
     }
 }
 
-/// Materialized remaining work is non-negative and, per kernel, monotonically
+/// Remaining work is non-negative and, per kernel, monotonically
 /// non-increasing across every observation point. Both claims are exact (no
-/// tolerance): class virtual time only grows, f64 subtraction is monotone,
-/// and each leave/join rebase materializes at the current virtual time.
+/// tolerance): rates are never negative, f64 subtraction of a non-negative
+/// amount is monotone, and a kernel whose work ran out has left the set.
 #[test]
-fn materialized_remaining_nonnegative_and_monotone() {
+fn remaining_work_nonnegative_and_monotone() {
     use std::collections::HashMap;
     for case in 0..CASES {
         let mut last: HashMap<u64, f64> = HashMap::new();
-        drive_classes(0xBB, case, |e, ctx| {
+        drive_churn(0xBB, case, |e, ctx| {
             let ids = e.running_kernel_ids().to_vec();
-            let rem = e.materialized_remaining();
+            let rem = e.remaining_work();
             last.retain(|id, _| ids.contains(id));
             for (i, &id) in ids.iter().enumerate() {
                 assert!(
                     rem[i] >= 0.0,
-                    "{ctx}: op {id} materialized remaining {} < 0",
+                    "{ctx}: op {id} remaining work {} < 0",
                     rem[i]
                 );
                 if let Some(&prev) = last.get(&id) {
@@ -395,7 +395,7 @@ fn materialized_remaining_nonnegative_and_monotone() {
 #[test]
 fn utilization_components_bounded() {
     for case in 0..CASES {
-        drive_classes(0xBC, case, |e, ctx| {
+        drive_churn(0xBC, case, |e, ctx| {
             let s = e.util_summary();
             for (name, v) in [
                 ("compute", s.compute),
@@ -421,50 +421,6 @@ fn utilization_components_bounded() {
                     }
                 }
             }
-        });
-    }
-}
-
-/// Rate classes partition the running set exactly: every running kernel with
-/// a positive rate belongs to exactly one alive class whose rate equals its
-/// evaluator rate bit-for-bit; zero-rate (stalled) kernels are classless; and
-/// alive member counts sum to the number of classed kernels.
-#[test]
-fn rate_classes_partition_running_set() {
-    for case in 0..CASES {
-        drive_classes(0xBD, case, |e, ctx| {
-            let rates = e.interference_rates().to_vec();
-            let class_rates = e.kernel_class_rates();
-            assert_eq!(rates.len(), class_rates.len(), "{ctx}: column length");
-            let mut classed = 0u32;
-            for (i, r) in rates.iter().enumerate() {
-                if r.rate > 0.0 {
-                    classed += 1;
-                    assert_eq!(
-                        class_rates[i].to_bits(),
-                        r.rate.to_bits(),
-                        "{ctx}: kernel {i} class rate {:?} != evaluator rate {:?}",
-                        class_rates[i],
-                        r.rate
-                    );
-                } else {
-                    assert_eq!(
-                        class_rates[i], 0.0,
-                        "{ctx}: stalled kernel {i} still classed at {:?}",
-                        class_rates[i]
-                    );
-                }
-            }
-            let members: u32 = e.rate_classes().iter().map(|&(_, m)| m).sum();
-            assert_eq!(
-                members, classed,
-                "{ctx}: class member counts don't partition the running set"
-            );
-            assert_eq!(
-                e.rate_class_count() as usize,
-                e.rate_classes().len(),
-                "{ctx}: live class count mismatch"
-            );
         });
     }
 }

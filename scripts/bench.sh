@@ -1,7 +1,7 @@
 #!/usr/bin/env bash
 # Engine-throughput benchmark driver: builds the bench harness, runs the
 # `bench_engine` binary, and leaves `BENCH_engine.json` at the repo root
-# (schema `orion-bench-engine/v2`, see EXPERIMENTS.md "Benchmarks").
+# (schema `orion-bench-engine/v3`, see EXPERIMENTS.md "Benchmarks").
 #
 # Usage: scripts/bench.sh
 # Knobs:

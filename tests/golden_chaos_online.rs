@@ -5,24 +5,22 @@
 //! configuration instead: a full `run_collocation` with several clients
 //! (multiple streams under Orion), probabilistic fault injection with the
 //! recovery supervisor armed, and online profiling learning live — the paths
-//! where an incremental interference evaluator is most likely to diverge from
-//! the full one (membership churn from aborts/resets, rate-certified clean
-//! samples, requeued resubmissions). The full execution trace is hashed with
-//! FNV-1a; the digest must stay **byte-identical** across engine refactors.
+//! where the running kernel set churns most (aborts, resets, requeued
+//! resubmissions) and where clean samples are certified by the engine's
+//! interference flag. The full execution trace is hashed with FNV-1a; the
+//! digest must stay **byte-identical** across engine refactors.
 //!
 //! Do not "fix" the constants to make a behavioural change pass: a mismatch
 //! means nanosecond-exact simulation results changed.
 //!
-//! The lazy per-rate-class engine core (PR 7) reproduces this digest
-//! byte-identically: kernels materialize remaining work from per-class
-//! virtual time, but never-contended (unit-rate) kernels only ever join
-//! classes whose virtual time is an exact integer nanosecond count, so their
-//! completion times are bitwise unchanged, and the contended-class
-//! materialization drift stays below the completion-rounding granularity on
-//! this scenario. The ongoing bound is enforced by
-//! `crates/gpu-sim/tests/incremental_eq.rs`
-//! (`lazy_materialization_matches_eager_integration`): bitwise equality for
-//! never-contended kernels, <= 0.01 ns for contended ones.
+//! The dense running-set engine reproduces this digest byte-identically. It
+//! decrements each running kernel's remaining work eagerly, where the
+//! earlier rate-class engine subtracted per-class virtual time. A kernel
+//! that is never contended runs at rate 1.0 and loses whole nanoseconds
+//! either way, so its completion is bitwise equal; on this scenario the
+//! contended kernels' rounding differences stay below the 1 ns completion
+//! granularity too. `crates/gpu-sim/tests/golden_trace.rs` pins seeded
+//! contended scenarios directly.
 
 use orion::core::client::ClientPriority;
 use orion::prelude::*;
