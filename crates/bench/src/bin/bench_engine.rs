@@ -19,7 +19,7 @@
 //!   "wall_ms": 343.0,                 // total wall clock of all sections
 //!   "engine": [                       // one row per (streams x ops) config
 //!     {"streams": 1, "ops": 1000, "iters": 20,
-//!      "events_per_sec": 7.0e6, "wall_ms": 2.9, "eval_count": 1001}
+//!      "events_per_sec": 7.0e6, "wall_ms": 2.9, "eval_count": 0}
 //!   ],
 //!   "collocation": {                  // one fig6_7-style cell, Orion policy
 //!     "label": "resnet50+resnet50-train", "policy": "Orion",

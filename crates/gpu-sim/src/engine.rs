@@ -40,7 +40,7 @@ use orion_desim::time::SimTime;
 
 use crate::error::GpuError;
 use crate::fault::{FaultCategory, FaultInjector, FaultKind, FaultPlan};
-use crate::interference::{evaluate_into, EvalScratch, KernelLoad, ModelParams};
+use crate::interference::{closed_form_into, evaluate_into, EvalScratch, KernelLoad, ModelParams};
 use crate::kernel::KernelDesc;
 use crate::memory::{AllocId, MemoryLedger};
 use crate::spec::GpuSpec;
@@ -530,12 +530,13 @@ pub struct GpuEngine {
     /// kernel rates are refreshed independently).
     copies_dirty: bool,
     params: ModelParams,
-    /// Output buffers of the last evaluation of `loads`.
+    /// Output buffers of the last evaluation (or closed form) of `loads`.
     eval: EvalScratch,
-    /// Interference-model evaluations since engine creation.
+    /// Interference-model evaluations since engine creation (closed forms
+    /// excluded).
     evals: u64,
     /// Cached device-wide utilization totals over the current rate set;
-    /// recomputed at every evaluation.
+    /// recomputed at every rate refresh.
     totals: UtilTotals,
     /// Streams that had an op finish in the last `complete_finished` pass —
     /// the only streams whose heads can newly dispatch, barring gates.
@@ -1038,9 +1039,10 @@ impl GpuEngine {
     }
 
     /// Interference-model evaluations since engine creation: one per
-    /// refresh that follows a change of the running kernel set. Copies,
-    /// event records, sync ops and repeated next-event queries never
-    /// evaluate.
+    /// refresh that follows a change of the running kernel set and finds
+    /// two or more kernels running. An empty or lone-kernel set takes the
+    /// closed form instead, and copies, event records, sync ops and
+    /// repeated next-event queries never evaluate.
     pub fn eval_count(&self) -> u64 {
         self.evals
     }
@@ -1148,14 +1150,33 @@ impl GpuEngine {
     /// at most one kernel per stream, and every client owns one stream, so
     /// `k` is a handful. Its grants are written back into `loads`, where
     /// they stay (grants are sticky), and its rates into `kslots`.
+    ///
+    /// Most refreshes see no kernel or a lone one, whose result is known
+    /// without evaluating ([`closed_form_into`]). Debug builds evaluate
+    /// those sets anyway and assert that the two agree bit for bit, so the
+    /// whole test suite checks the closed form.
     fn refresh_rates(&mut self) {
         if self.rates_dirty || self.copies_dirty {
             self.next_event_memo = None;
         }
         if self.rates_dirty {
             self.rates_dirty = false;
-            self.evals += 1;
-            evaluate_into(&self.params, &self.loads, &mut self.eval);
+            if closed_form_into(&self.params, &self.loads, &mut self.eval.rates) {
+                #[cfg(debug_assertions)]
+                {
+                    let closed = self.eval.rates.first().map(|r| r.to_bits());
+                    evaluate_into(&self.params, &self.loads, &mut self.eval);
+                    assert_eq!(
+                        self.eval.rates.first().map(|r| r.to_bits()),
+                        closed,
+                        "closed form disagrees with the model on {:?}",
+                        self.loads
+                    );
+                }
+            } else {
+                self.evals += 1;
+                evaluate_into(&self.params, &self.loads, &mut self.eval);
+            }
             let Self {
                 ops,
                 running_kernels,
@@ -1195,7 +1216,7 @@ impl GpuEngine {
 
     /// Integrates utilization and progress from `self.now` to `to`
     /// (rates must be fresh and constant over the interval). Utilization
-    /// comes from the cached [`UtilTotals`], which every evaluation rebuilt
+    /// comes from the cached [`UtilTotals`], which every rate refresh rebuilt
     /// (refresh always precedes integrate in the advance loop, so the cache
     /// is never stale here).
     fn integrate(&mut self, to: SimTime) {
@@ -1831,17 +1852,28 @@ mod tests {
     #[test]
     fn unchanged_kernel_set_is_never_reevaluated() {
         // Counted-work gate: the interference model runs once per refresh
-        // that follows a change of the running kernel set, and never for a
-        // copy, an event record, a malloc or a repeated next-event query.
-        // Nothing is drained until the end, so op ids are never recycled and
-        // any change of the set shows as a change of its id list.
+        // that follows a change of the running kernel set and finds two or
+        // more kernels running, and never for an empty or lone-kernel set
+        // (closed form), a copy, an event record, a malloc or a repeated
+        // next-event query. Nothing is drained until the end, so op ids are
+        // never recycled and any change of the set shows as a change of its
+        // id list.
         let mut e = engine();
         let ks = e.create_stream(StreamPriority::DEFAULT);
         let hp = e.create_stream(StreamPriority::HIGH);
         let side = e.create_stream(StreamPriority::DEFAULT);
         let ev = e.create_event();
         let shapes = [kernel(0, 3, 20, 0.4, 0.3), kernel(1, 5, 80, 0.9, 0.1)];
-        let (mut last, mut changes, mut steps) = (Vec::new(), 0u64, 0u32);
+        let (mut last, mut steps) = (Vec::new(), 0u32);
+        // Kernel-set changes, and those that leave two or more kernels
+        // running: the refresh points that must evaluate the model.
+        let (mut changes, mut shared) = (0u64, 0u64);
+        let mut observe = |e: &GpuEngine| {
+            if kernel_set_changed(e, &mut last) {
+                changes += 1;
+                shared += u64::from(e.running_kernel_ids().len() >= 2);
+            }
+        };
         loop {
             if steps < 600 {
                 match steps % 6 {
@@ -1869,7 +1901,7 @@ mod tests {
             for _ in 0..3 {
                 e.next_event_time();
             }
-            changes += u64::from(kernel_set_changed(&e, &mut last));
+            observe(&e);
             // One completion round per `advance_to`, so every refresh point
             // is observed.
             let Some(t) = e.next_event_time() else {
@@ -1879,13 +1911,32 @@ mod tests {
                 continue;
             };
             e.advance_to(t);
-            changes += u64::from(kernel_set_changed(&e, &mut last));
+            observe(&e);
         }
         let done = e.drain_completions();
         assert_eq!(done.len(), 600, "every op finished");
         assert!(done.iter().any(|c| c.interfered), "some kernels shared the device");
         assert!(changes > 300, "{changes} kernel-set changes");
-        assert_eq!(e.eval_count(), changes);
+        assert!(shared >= 100, "{shared} kernel-set changes to two or more kernels");
+        assert_eq!(e.eval_count(), shared);
+    }
+
+    #[test]
+    fn lone_kernel_chain_never_evaluates_interference() {
+        // Counted-work gate: a chain of kernels on one stream only ever
+        // runs one kernel at a time, so every refresh takes the closed form.
+        let mut e = engine();
+        let s = e.create_stream(StreamPriority::DEFAULT);
+        let k = kernel(0, 5, 40, 0.5, 0.3);
+        for _ in 0..1000 {
+            e.submit_kernel(s, &k).unwrap();
+        }
+        e.advance_to(SimTime::from_millis(10));
+        let done = e.drain_completions();
+        assert_eq!(done.len(), 1000, "every kernel finished");
+        assert!(done.iter().all(|c| !c.interfered), "a lone kernel is never interfered");
+        assert_eq!(done[999].at, SimTime::from_micros(5000), "each kernel ran at its solo rate");
+        assert_eq!(e.eval_count(), 0);
     }
 
     #[test]

@@ -107,6 +107,19 @@ pub struct KernelRate {
     pub mem_used: f64,
 }
 
+impl KernelRate {
+    /// Every field as raw bits, for bit-for-bit comparison (`==` on `f64`
+    /// equates 0.0 with -0.0).
+    pub fn to_bits(&self) -> (u32, u64, u64, u64) {
+        (
+            self.sm_granted,
+            self.rate.to_bits(),
+            self.compute_used.to_bits(),
+            self.mem_used.to_bits(),
+        )
+    }
+}
+
 /// Reusable buffers for [`evaluate_into`], so the engine's steady-state rate
 /// refresh performs no heap allocation once the buffers have grown to the
 /// high-water concurrency of the run.
@@ -117,20 +130,11 @@ pub struct EvalScratch {
     grants: Vec<u32>,
     order: Vec<usize>,
     mult: Vec<f64>,
-    sm_share: Vec<f64>,
     eff_c: Vec<f64>,
     eff_m: Vec<f64>,
-    compute_factors: Vec<f64>,
-    mem_factors: Vec<f64>,
-    weights: Vec<f64>,
-}
-
-impl EvalScratch {
-    /// The per-kernel compute / memory rationing factors of the last
-    /// [`evaluate_into`] call (parallel to its `loads`).
-    pub fn factors(&self) -> (&[f64], &[f64]) {
-        (&self.compute_factors, &self.mem_factors)
-    }
+    /// Each kernel's (compute, memory) arbitration weight; 0 on a resource
+    /// under capacity.
+    weights: Vec<(f64, f64)>,
 }
 
 /// Tops up SM grants in (urgency, seq) order without revoking existing grants.
@@ -146,14 +150,19 @@ pub fn allocate_sms(num_sms: u32, loads: &[KernelLoad]) -> Vec<u32> {
 fn allocate_sms_into(num_sms: u32, loads: &[KernelLoad], grants: &mut Vec<u32>, order: &mut Vec<usize>) {
     let granted_total: u32 = loads.iter().map(|l| l.sm_granted).sum();
     let mut free = num_sms.saturating_sub(granted_total);
+    grants.clear();
+    grants.extend(loads.iter().map(|l| l.sm_granted));
+    // With no SM free, or no kernel wanting more, the top-up round below
+    // would grant nothing: skip its sort.
+    if free == 0 || loads.iter().all(|l| l.sm_granted >= l.sm_needed) {
+        return;
+    }
     order.clear();
     order.extend(0..loads.len());
     // Unstable sort to avoid the stable sort's internal allocation; the key
     // is unique per load (`seq` is the engine's unique dispatch sequence), so
     // the resulting order is identical to a stable sort.
     order.sort_unstable_by_key(|&i| (std::cmp::Reverse(loads[i].urgency), loads[i].seq));
-    grants.clear();
-    grants.extend(loads.iter().map(|l| l.sm_granted));
     for &i in order.iter() {
         let want = loads[i].sm_needed.saturating_sub(grants[i]);
         let take = want.min(free);
@@ -196,6 +205,41 @@ pub fn rationing_factor(d: f64, beta: f64) -> f64 {
     }
 }
 
+/// The model's result for a set of at most one kernel, written into `rates`
+/// without evaluating the model. Returns `false` (and leaves `rates` alone)
+/// when the closed form does not apply; the caller then runs
+/// [`evaluate_into`], whose result the closed form equals bit for bit.
+///
+/// An empty set has no rates. A lone kernel with `sm_granted <= sm_needed
+/// <= num_sms` is topped up to exactly `sm_needed`, since no other kernel
+/// holds SMs. Fully granted, it takes no interleave alpha, so its
+/// multiplier is `n/n + 1.0 * (1 - n/n)`, exactly 1.0. With both demands
+/// at most 1, neither resource is over capacity, so every rationing factor
+/// is 1. Its rate is therefore 1.0 and it consumes exactly its demands
+/// (`1.0 * d` is `d` in every bit). The engine's loads always qualify:
+/// `sm_needed` is clamped to the device and demands are validated into
+/// `[0, 1]`.
+pub fn closed_form_into(params: &ModelParams, loads: &[KernelLoad], rates: &mut Vec<KernelRate>) -> bool {
+    match loads {
+        [] => rates.clear(),
+        [l] if l.sm_granted <= l.sm_needed
+            && l.sm_needed <= params.num_sms
+            && l.compute_demand <= 1.0
+            && l.mem_demand <= 1.0 =>
+        {
+            rates.clear();
+            rates.push(KernelRate {
+                sm_granted: l.sm_needed,
+                rate: 1.0,
+                compute_used: l.compute_demand,
+                mem_used: l.mem_demand,
+            });
+        }
+        _ => return false,
+    }
+    true
+}
+
 /// Evaluates the full interference model: grants + rates + consumed resources.
 pub fn evaluate(params: &ModelParams, loads: &[KernelLoad]) -> Vec<KernelRate> {
     let mut scratch = EvalScratch::default();
@@ -205,100 +249,103 @@ pub fn evaluate(params: &ModelParams, loads: &[KernelLoad]) -> Vec<KernelRate> {
 
 /// [`evaluate`] into reusable buffers: the result lands in `scratch.rates`
 /// (parallel to `loads`) and no allocation happens once the buffers have
-/// grown to the run's peak concurrency. Arithmetic is performed in exactly
-/// the order of [`evaluate`], so results are bit-identical.
+/// grown to the run's peak concurrency.
+///
+/// One pass after the SM top-up: a holder scan, then one loop that computes
+/// each kernel's multiplier and effective demands and sums both totals.
+/// When neither total exceeds capacity every rationing factor is exactly 1,
+/// so each rate is its multiplier (`min(f, f * 1.0)` is `f`) and the pass
+/// ends there. Only an over-capacity resource pays for arbitration.
 pub fn evaluate_into(params: &ModelParams, loads: &[KernelLoad], scratch: &mut EvalScratch) {
     let EvalScratch {
         rates,
         grants,
         order,
         mult,
-        sm_share,
         eff_c,
         eff_m,
-        compute_factors,
-        mem_factors,
         weights,
     } = scratch;
     allocate_sms_into(params.num_sms, loads, grants, order);
 
     // Dominant SM-holder profile: the class of the kernel holding the most
     // SMs (ties: earliest dispatch). Starved kernels interleave against it.
-    let holder = loads
-        .iter()
-        .zip(grants.iter())
-        .filter(|(_, &g)| g > 0)
-        .max_by_key(|(l, &g)| (g, std::cmp::Reverse(l.seq)))
-        .map(|(l, _)| l.profile());
+    // `>=` keeps the last of equal keys, as `Iterator::max_by_key` does
+    // (keys only tie when a `seq` repeats, which the engine never does).
+    let mut holder: Option<(usize, (u32, std::cmp::Reverse<u64>))> = None;
+    for (i, (l, &g)) in loads.iter().zip(grants.iter()).enumerate() {
+        let key = (g, std::cmp::Reverse(l.seq));
+        if g > 0 && holder.is_none_or(|(_, best)| key >= best) {
+            holder = Some((i, key));
+        }
+    }
+    let holder = holder.map(|(i, _)| loads[i].profile());
 
-    // Progress multiplier from SM availability.
+    // Progress multiplier from SM availability. Effective demands scale
+    // with it: a kernel progressing at half speed issues half the
+    // instructions and memory traffic. The totals fold left to right from
+    // -0.0, exactly as `Iterator::sum` does.
     mult.clear();
-    mult.extend(loads.iter().zip(grants.iter()).map(|(l, &g)| {
+    eff_c.clear();
+    eff_m.clear();
+    let (mut total_compute, mut total_mem) = (-0.0, -0.0);
+    for (l, &g) in loads.iter().zip(grants.iter()) {
         let alpha = match holder {
             Some(h) if g < l.sm_needed => interleave_alpha(params, l.profile(), h),
             // No holder (device empty of granted kernels): free dispatch.
             _ => 1.0,
         };
-        interleave_multiplier(g, l.sm_needed, alpha)
-    }));
+        let f = interleave_multiplier(g, l.sm_needed, alpha);
+        let (c, m) = (l.compute_demand * f, l.mem_demand * f);
+        total_compute += c;
+        total_mem += m;
+        mult.push(f);
+        eff_c.push(c);
+        eff_m.push(m);
+    }
 
-    // Effective demands scale with the multiplier: a kernel progressing at
-    // half speed issues half the instructions and memory traffic.
-    eff_c.clear();
-    eff_c.extend(
-        loads
-            .iter()
-            .zip(mult.iter())
-            .map(|(l, &f)| l.compute_demand * f),
-    );
-    eff_m.clear();
-    eff_m.extend(
-        loads
-            .iter()
-            .zip(mult.iter())
-            .map(|(l, &f)| l.mem_demand * f),
-    );
-    let total_compute: f64 = eff_c.iter().sum();
-    let total_mem: f64 = eff_m.iter().sum();
+    rates.clear();
+    if total_compute <= 1.0 && total_mem <= 1.0 {
+        rates.extend(loads.iter().zip(grants.iter()).zip(mult.iter()).map(|((l, &g), &f)| {
+            KernelRate {
+                sm_granted: g,
+                rate: f,
+                compute_used: f * l.compute_demand,
+                mem_used: f * l.mem_demand,
+            }
+        }));
+        return;
+    }
 
     // Per-kernel rationing factors: proportional sharing of the delivered
     // capacity, discounted by SM share under overload (kernels with more
-    // resident warps win warp-scheduler arbitration).
-    sm_share.clear();
-    sm_share.extend(
-        grants
-            .iter()
-            .map(|&g| g as f64 / params.num_sms.max(1) as f64),
-    );
-    arbitrated_factors_into(
-        total_compute,
-        params.compute_beta,
-        params.arbitration,
-        eff_c,
-        sm_share,
-        weights,
-        compute_factors,
-    );
-    arbitrated_factors_into(
-        total_mem,
-        params.mem_beta,
-        params.arbitration,
-        eff_m,
-        sm_share,
-        weights,
-        mem_factors,
-    );
-
-    rates.clear();
+    // resident warps win warp-scheduler arbitration). One loop takes each
+    // kernel's SM share and its weight on each over-capacity resource, and
+    // sums the weights left to right from -0.0 as `Iterator::sum` does.
+    let lambda = |total: f64| (total > 1.0).then_some(params.arbitration * (total - 1.0));
+    let (lambda_c, lambda_m) = (lambda(total_compute), lambda(total_mem));
+    let (mut weight_sum_c, mut weight_sum_m) = (-0.0, -0.0);
+    weights.clear();
+    for ((&g, &c), &m) in grants.iter().zip(eff_c.iter()).zip(eff_m.iter()) {
+        let share = g as f64 / params.num_sms.max(1) as f64;
+        let w_c = lambda_c.map_or(0.0, |l| arbitration_weight(c, l, share));
+        let w_m = lambda_m.map_or(0.0, |l| arbitration_weight(m, l, share));
+        weight_sum_c += w_c;
+        weight_sum_m += w_m;
+        weights.push((w_c, w_m));
+    }
+    let compute = lambda_c.and_then(|_| Rationing::new(total_compute, params.compute_beta, weight_sum_c));
+    let mem = lambda_m.and_then(|_| Rationing::new(total_mem, params.mem_beta, weight_sum_m));
     rates.extend(loads.iter().enumerate().map(|(i, l)| {
         let f = mult[i];
+        let (w_c, w_m) = weights[i];
         // Rate limited by the most-contended resource the kernel uses.
         let mut rate = f;
         if l.compute_demand > 0.0 {
-            rate = rate.min(f * compute_factors[i]);
+            rate = rate.min(f * compute.map_or(1.0, |r| r.factor(w_c, eff_c[i])));
         }
         if l.mem_demand > 0.0 {
-            rate = rate.min(f * mem_factors[i]);
+            rate = rate.min(f * mem.map_or(1.0, |r| r.factor(w_m, eff_m[i])));
         }
         KernelRate {
             sm_granted: grants[i],
@@ -307,6 +354,43 @@ pub fn evaluate_into(params: &ModelParams, loads: &[KernelLoad], scratch: &mut E
             mem_used: rate * l.mem_demand,
         }
     }));
+}
+
+/// A kernel's arbitration weight on an over-capacity resource: its
+/// effective demand `d` discounted by `1 + lambda * (1 - share)`, where
+/// `lambda` is `arb * (total - 1)`.
+fn arbitration_weight(d: f64, lambda: f64, share: f64) -> f64 {
+    d / (1.0 + lambda * (1.0 - share.clamp(0.0, 1.0)))
+}
+
+/// One over-capacity resource's arbitration: the capacity it delivers and
+/// the sum of the kernels' arbitration weights. With a kernel's own weight
+/// and effective demand they give its factor in [`arbitrated_factors`].
+#[derive(Clone, Copy)]
+struct Rationing {
+    delivered_total: f64,
+    weight_sum: f64,
+}
+
+impl Rationing {
+    /// The arbitration of a resource with total demand `total > 1`, or
+    /// `None` when no kernel weighs on it and every factor is 1.
+    fn new(total: f64, beta: f64, weight_sum: f64) -> Option<Self> {
+        (weight_sum > 0.0).then(|| Rationing {
+            delivered_total: total * rationing_factor(total, beta),
+            weight_sum,
+        })
+    }
+
+    /// The factor of a kernel with arbitration weight `w` and effective
+    /// demand `d`, clamped at 1.
+    fn factor(self, w: f64, d: f64) -> f64 {
+        if d <= 0.0 {
+            1.0
+        } else {
+            (self.delivered_total * w / (self.weight_sum * d)).min(1.0)
+        }
+    }
 }
 
 /// Per-kernel rationing factors for one resource.
@@ -324,48 +408,20 @@ pub fn arbitrated_factors(
     eff_demands: &[f64],
     sm_shares: &[f64],
 ) -> Vec<f64> {
-    let mut out = Vec::new();
-    arbitrated_factors_into(total, beta, arb, eff_demands, sm_shares, &mut Vec::new(), &mut out);
-    out
-}
-
-/// [`arbitrated_factors`] into caller-owned buffers (`weights` is scratch).
-fn arbitrated_factors_into(
-    total: f64,
-    beta: f64,
-    arb: f64,
-    eff_demands: &[f64],
-    sm_shares: &[f64],
-    weights: &mut Vec<f64>,
-    out: &mut Vec<f64>,
-) {
     let n = eff_demands.len();
-    out.clear();
     if total <= 1.0 {
-        out.resize(n, 1.0);
-        return;
+        return vec![1.0; n];
     }
     let lambda = arb * (total - 1.0);
-    weights.clear();
-    weights.extend(
-        eff_demands
-            .iter()
-            .zip(sm_shares)
-            .map(|(&d, &s)| d / (1.0 + lambda * (1.0 - s.clamp(0.0, 1.0)))),
-    );
-    let weight_sum: f64 = weights.iter().sum();
-    if weight_sum <= 0.0 {
-        out.resize(n, 1.0);
-        return;
+    let weights: Vec<f64> = eff_demands
+        .iter()
+        .zip(sm_shares)
+        .map(|(&d, &s)| arbitration_weight(d, lambda, s))
+        .collect();
+    match Rationing::new(total, beta, weights.iter().sum()) {
+        Some(r) => weights.iter().zip(eff_demands).map(|(&w, &d)| r.factor(w, d)).collect(),
+        None => vec![1.0; n],
     }
-    let delivered_total = total * rationing_factor(total, beta);
-    out.extend(weights.iter().zip(eff_demands).map(|(&w, &d)| {
-        if d <= 0.0 {
-            1.0
-        } else {
-            (delivered_total * w / (weight_sum * d)).min(1.0)
-        }
-    }));
 }
 
 #[cfg(test)]

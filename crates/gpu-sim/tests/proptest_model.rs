@@ -6,7 +6,9 @@
 use orion_desim::rng::{cell_seed, DetRng};
 use orion_desim::time::SimTime;
 use orion_gpu::engine::{GpuEngine, OpKind};
-use orion_gpu::interference::{allocate_sms, arbitrated_factors, evaluate, KernelLoad, ModelParams};
+use orion_gpu::interference::{
+    allocate_sms, arbitrated_factors, closed_form_into, evaluate, KernelLoad, KernelRate, ModelParams,
+};
 use orion_gpu::kernel::{classify_utilization, KernelBuilder, ResourceProfile};
 use orion_gpu::spec::GpuSpec;
 use orion_gpu::stream::StreamPriority;
@@ -422,5 +424,262 @@ fn utilization_components_bounded() {
                 }
             }
         });
+    }
+}
+
+// ---- the fused evaluator against the multi-pass one ----
+
+/// The multi-pass evaluator that `evaluate` replaced, kept verbatim as the
+/// reference for the fused pass: one column per intermediate (grants,
+/// multipliers, effective demands, SM shares, weights, factors), each
+/// filled by its own loop, with totals from `Iterator::sum`. It also
+/// returns the two effective-demand totals, so a test can tell which
+/// resources were over capacity.
+mod multi_pass {
+    use orion_gpu::interference::{
+        interleave_alpha, interleave_multiplier, rationing_factor, KernelLoad, KernelRate, ModelParams,
+    };
+
+    pub fn allocate_sms(num_sms: u32, loads: &[KernelLoad]) -> Vec<u32> {
+        let granted_total: u32 = loads.iter().map(|l| l.sm_granted).sum();
+        let mut free = num_sms.saturating_sub(granted_total);
+        let mut order: Vec<usize> = (0..loads.len()).collect();
+        order.sort_unstable_by_key(|&i| (std::cmp::Reverse(loads[i].urgency), loads[i].seq));
+        let mut grants: Vec<u32> = loads.iter().map(|l| l.sm_granted).collect();
+        for &i in order.iter() {
+            let want = loads[i].sm_needed.saturating_sub(grants[i]);
+            let take = want.min(free);
+            grants[i] += take;
+            free -= take;
+            if free == 0 {
+                break;
+            }
+        }
+        grants
+    }
+
+    pub fn evaluate(params: &ModelParams, loads: &[KernelLoad]) -> (Vec<KernelRate>, f64, f64) {
+        let grants = allocate_sms(params.num_sms, loads);
+        let holder = loads
+            .iter()
+            .zip(grants.iter())
+            .filter(|(_, &g)| g > 0)
+            .max_by_key(|(l, &g)| (g, std::cmp::Reverse(l.seq)))
+            .map(|(l, _)| l.profile());
+        let mult: Vec<f64> = loads
+            .iter()
+            .zip(grants.iter())
+            .map(|(l, &g)| {
+                let alpha = match holder {
+                    Some(h) if g < l.sm_needed => interleave_alpha(params, l.profile(), h),
+                    _ => 1.0,
+                };
+                interleave_multiplier(g, l.sm_needed, alpha)
+            })
+            .collect();
+        let eff_c: Vec<f64> = loads.iter().zip(&mult).map(|(l, &f)| l.compute_demand * f).collect();
+        let eff_m: Vec<f64> = loads.iter().zip(&mult).map(|(l, &f)| l.mem_demand * f).collect();
+        let total_compute: f64 = eff_c.iter().sum();
+        let total_mem: f64 = eff_m.iter().sum();
+        let sm_share: Vec<f64> = grants
+            .iter()
+            .map(|&g| g as f64 / params.num_sms.max(1) as f64)
+            .collect();
+        let compute_factors =
+            arbitrated_factors(total_compute, params.compute_beta, params.arbitration, &eff_c, &sm_share);
+        let mem_factors = arbitrated_factors(total_mem, params.mem_beta, params.arbitration, &eff_m, &sm_share);
+        let rates = loads
+            .iter()
+            .enumerate()
+            .map(|(i, l)| {
+                let f = mult[i];
+                let mut rate = f;
+                if l.compute_demand > 0.0 {
+                    rate = rate.min(f * compute_factors[i]);
+                }
+                if l.mem_demand > 0.0 {
+                    rate = rate.min(f * mem_factors[i]);
+                }
+                KernelRate {
+                    sm_granted: grants[i],
+                    rate,
+                    compute_used: rate * l.compute_demand,
+                    mem_used: rate * l.mem_demand,
+                }
+            })
+            .collect();
+        (rates, total_compute, total_mem)
+    }
+
+    pub fn arbitrated_factors(total: f64, beta: f64, arb: f64, eff: &[f64], shares: &[f64]) -> Vec<f64> {
+        let n = eff.len();
+        if total <= 1.0 {
+            return vec![1.0; n];
+        }
+        let lambda = arb * (total - 1.0);
+        let weights: Vec<f64> = eff
+            .iter()
+            .zip(shares)
+            .map(|(&d, &s)| d / (1.0 + lambda * (1.0 - s.clamp(0.0, 1.0))))
+            .collect();
+        let weight_sum: f64 = weights.iter().sum();
+        if weight_sum <= 0.0 {
+            return vec![1.0; n];
+        }
+        let delivered_total = total * rationing_factor(total, beta);
+        weights
+            .iter()
+            .zip(eff)
+            .map(|(&w, &d)| {
+                if d <= 0.0 {
+                    1.0
+                } else {
+                    (delivered_total * w / (weight_sum * d)).min(1.0)
+                }
+            })
+            .collect()
+    }
+}
+
+fn rate_bits(rates: &[KernelRate]) -> Vec<(u32, u64, u64, u64)> {
+    rates.iter().map(KernelRate::to_bits).collect()
+}
+
+/// A demand for one of the load-shape regimes: zero (either sign) now and
+/// then, otherwise uniform in `[0, hi)`.
+fn gen_demand(rng: &mut DetRng, hi: f64) -> f64 {
+    match rng.uniform_u64(8) {
+        0 => 0.0,
+        1 => -0.0,
+        _ => rng.uniform_f64(0.0, hi),
+    }
+}
+
+/// The fused `evaluate` matches the multi-pass evaluator bit for bit on
+/// seeded sets of 1–8 loads. Each case draws one regime: both resources
+/// under capacity, compute over, memory over, or both over. Grants are
+/// partly sticky (some kernels hold part or all of their need, within the
+/// device), demands are sometimes exactly ±0, urgencies come from two
+/// levels so they tie often, and `seq` sometimes repeats so that holder
+/// keys tie as well.
+///
+/// Why the fused forms match: its totals fold left to right from -0.0,
+/// which is what `Iterator::sum` does for `f64`, so every partial sum is
+/// the same; and its holder scan replaces on `>=`, so among equal keys it
+/// keeps the last one, as `max_by_key` does.
+#[test]
+fn fused_evaluate_matches_multi_pass_bitwise() {
+    let base = ModelParams::from(&GpuSpec::v100_16gb());
+    let mut regimes = [0u32; 4];
+    for case in 0..4096u64 {
+        let mut rng = DetRng::new(cell_seed(0xBD, case));
+        let regime = (case % 4) as usize;
+        let (c_hi, m_hi) = match regime {
+            0 => (0.12, 0.12),
+            1 => (1.0, 0.12),
+            2 => (0.12, 1.0),
+            _ => (1.0, 1.0),
+        };
+        let params = ModelParams {
+            num_sms: 1 + rng.uniform_u64(120) as u32,
+            ..base
+        };
+        let n = 1 + rng.uniform_u64(8) as usize;
+        let repeat_seq = rng.uniform_u64(4) == 0;
+        let mut free = params.num_sms;
+        let loads: Vec<KernelLoad> = (0..n)
+            .map(|i| {
+                let sm_needed = 1 + rng.uniform_u64(params.num_sms as u64 * 3 / 2 + 1) as u32;
+                let sm_granted = match rng.uniform_u64(3) {
+                    0 => 0,
+                    1 => rng.uniform_u64(sm_needed as u64 + 1) as u32,
+                    _ => sm_needed,
+                }
+                .min(free);
+                free -= sm_granted;
+                KernelLoad {
+                    sm_needed,
+                    sm_granted,
+                    compute_demand: gen_demand(&mut rng, c_hi),
+                    mem_demand: gen_demand(&mut rng, m_hi),
+                    urgency: rng.uniform_u64(2) as i16,
+                    seq: if repeat_seq { rng.uniform_u64(3) } else { i as u64 },
+                }
+            })
+            .collect();
+        let (want, total_c, total_m) = multi_pass::evaluate(&params, &loads);
+        regimes[usize::from(total_c > 1.0) + 2 * usize::from(total_m > 1.0)] += 1;
+        assert_eq!(
+            rate_bits(&evaluate(&params, &loads)),
+            rate_bits(&want),
+            "case {case}: {loads:?}"
+        );
+    }
+    // Every regime (neither, compute, memory, both over capacity) was
+    // reached.
+    assert!(regimes.iter().all(|&r| r > 100), "regime counts {regimes:?}");
+}
+
+/// `arbitrated_factors` matches the multi-pass form bit for bit, under and
+/// over capacity, with zero demands and clamped shares.
+#[test]
+fn arbitrated_factors_match_multi_pass_bitwise() {
+    for case in 0..1024u64 {
+        let mut rng = DetRng::new(cell_seed(0xBE, case));
+        let n = 1 + rng.uniform_u64(8) as usize;
+        let eff: Vec<f64> = (0..n).map(|_| gen_demand(&mut rng, 1.0)).collect();
+        let shares: Vec<f64> = (0..n).map(|_| rng.uniform_f64(-0.2, 1.2)).collect();
+        let total: f64 = eff.iter().sum();
+        let (beta, arb) = (rng.next_f64() * 2.0, rng.next_f64());
+        let bits = |v: Vec<f64>| v.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        assert_eq!(
+            bits(arbitrated_factors(total, beta, arb, &eff, &shares)),
+            bits(multi_pass::arbitrated_factors(total, beta, arb, &eff, &shares)),
+            "case {case}"
+        );
+    }
+}
+
+/// The lone-kernel closed form equals the model bit for bit for every SM
+/// need on the device, demands from {0, 0.3, 0.6, 1.0}, and an ungranted,
+/// half-granted or fully granted (sticky) kernel; an empty set has no
+/// rates.
+#[test]
+fn closed_form_matches_evaluate_for_lone_kernels() {
+    const DEMANDS: [f64; 4] = [0.0, 0.3, 0.6, 1.0];
+    let mut rates = Vec::new();
+    for spec in [GpuSpec::v100_16gb(), GpuSpec::a100_40gb()] {
+        let p = ModelParams::from(&spec);
+        assert!(closed_form_into(&p, &[], &mut rates));
+        assert!(rates.is_empty() && evaluate(&p, &[]).is_empty());
+        for sm_needed in 1..=p.num_sms {
+            for sm_granted in [0, sm_needed / 2, sm_needed] {
+                for c in DEMANDS {
+                    for m in DEMANDS {
+                        let l = KernelLoad {
+                            sm_needed,
+                            sm_granted,
+                            compute_demand: c,
+                            mem_demand: m,
+                            urgency: 0,
+                            seq: 7,
+                        };
+                        assert!(closed_form_into(&p, &[l], &mut rates), "{l:?}");
+                        assert_eq!(rate_bits(&rates), rate_bits(&evaluate(&p, &[l])), "{l:?}");
+                    }
+                }
+            }
+        }
+        // Outside its domain the closed form declines.
+        let big = KernelLoad {
+            sm_needed: p.num_sms + 1,
+            sm_granted: 0,
+            compute_demand: 0.5,
+            mem_demand: 0.5,
+            urgency: 0,
+            seq: 0,
+        };
+        assert!(!closed_form_into(&p, &[big], &mut rates));
+        assert!(!closed_form_into(&p, &[big, big], &mut rates));
     }
 }

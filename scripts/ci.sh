@@ -68,7 +68,11 @@ echo "==> cluster_placement example (static cluster as a one-epoch FleetSim run)
 cargo run -q --release --example cluster_placement
 
 echo "==> bench smoke + perf gate (16-stream within 20% of 4-stream; 64-stream at least 45% of 16-stream)"
-ORION_FAST=1 ORION_BENCH_GATE=1 scripts/bench.sh
+# The smoke run writes to a temporary file, so the committed full-run
+# BENCH_engine.json is left as it is.
+bench_out=$(mktemp)
+trap 'rm -f "$bench_out"' EXIT
+ORION_FAST=1 ORION_BENCH_GATE=1 ORION_BENCH_OUT="$bench_out" scripts/bench.sh
 
 echo "==> perfbench smoke (1 s per workload, seed 1: outputs correct, no failed operations, digests pinned exactly)"
 for pin in colloc=0x3c75b40d07b8dee5 fleet=0x9d3df367fb84a388 llm_serving=0x08f9a4b66b78a398; do
